@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check validate-scenarios bench bench-micro bench-smoke bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-paper fuzz clean
+.PHONY: all build test vet check validate-scenarios bench bench-micro bench-smoke bench-selftest bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-paper fuzz clean
 
 all: build check
 
@@ -46,6 +46,15 @@ bench-micro:
 bench-smoke:
 	$(GO) test -run 'TestScheduleAllocBudget|TestLinkAllocBudget' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/netem/
 	$(GO) test -run 'TestMetricsOverheadSmoke' -bench 'BenchmarkSimulatedSecond' -benchtime=1x -benchmem .
+
+# The benchmark (bench/, BENCHMARK.json) is a module of its own, so the root
+# `go test ./...` never compiles it: an engine or harness change that breaks
+# it would otherwise surface only when someone next measures. Vet and test it
+# against the working tree, then run one short workload end to end — every
+# cell must pass its checks ("failed":0 in the result object).
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh --workload bulk_dumbbell --seconds 3 | tail -n 1 | grep -q '"failed":0'
 
 # Shard speedup measurement: wall time of the 8-bottleneck parking-lot
 # benchmark at increasing shard counts, serial first as the baseline.
@@ -165,6 +174,7 @@ fuzz:
 	$(GO) test ./internal/netem -run=NONE -fuzz=FuzzReadTrace -fuzztime=20s
 	$(GO) test ./internal/netem -run=NONE -fuzz=FuzzPartition -fuzztime=20s
 	$(GO) test ./internal/harness -run=NONE -fuzz=FuzzDecodeRunRecord -fuzztime=20s
+	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzEngineOps -fuzztime=20s
 
 clean:
 	$(GO) clean ./...

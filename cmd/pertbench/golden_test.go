@@ -15,7 +15,8 @@ import (
 // TestGoldenQuickTables proves the simulator's pooled hot paths do not
 // perturb results: the quick-scale tables of a representative experiment
 // subset must be byte-identical to the committed results_quick.txt golden
-// file. Event and packet pooling, the lazy-deletion heap, and the
+// file. Event and packet pooling, the pending set of keys and slab slots
+// (lazy deletion, coalesced timer carriers, link lanes), and the
 // persistent-timer rewrite all claim to preserve the seeded RNG stream and
 // (time, seq) event ordering exactly — a diff here means one of them
 // changed behavior, and the optimization is a bug regardless of how much

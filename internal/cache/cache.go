@@ -134,13 +134,8 @@ func (s *Store) Claim(key string) (*Claim, error) {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		f, err := os.OpenFile(lock, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := s.publishLock(key, lock)
 		if err == nil {
-			fmt.Fprintf(f, "%d\n", os.Getpid())
-			if err := f.Close(); err != nil {
-				os.Remove(lock)
-				return nil, fmt.Errorf("cache: %w", err)
-			}
 			crashPoint(CrashSiteClaim)
 			staging := filepath.Join(s.dir, "tmp", fmt.Sprintf("%s.%d", key, os.Getpid()))
 			os.RemoveAll(staging)
@@ -157,9 +152,33 @@ func (s *Store) Claim(key string) (*Claim, error) {
 		if !s.claimStale(lock) {
 			return nil, nil
 		}
-		os.Remove(lock) // stale: break it and retry the exclusive create
+		os.Remove(lock) // stale: break it and retry the exclusive link
 	}
 	return nil, nil
+}
+
+// publishLock creates the lockfile with this process's PID already in it,
+// failing with fs.ErrExist when the lock is held. The lock must never be
+// visible without its owner's PID: a claimant that read an empty lockfile
+// would take it for malformed and break a live claim. So the PID is written
+// to a private file first and the lock is published by hard-linking that
+// file into place — the same exclusivity as O_EXCL, with the contents
+// attached. The private file is named like a staging directory (trailing
+// .PID), so one orphaned by a kill is reaped by the same GC.
+func (s *Store) publishLock(key, lock string) error {
+	f, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), fmt.Sprintf("%s.lock*.%d", key, os.Getpid()))
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name())
+	_, err = fmt.Fprintf(f, "%d\n", os.Getpid())
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Link(f.Name(), lock)
 }
 
 // Wait blocks until key is committed by another process, polling the store.

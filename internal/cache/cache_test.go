@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -138,6 +139,51 @@ func TestClaimConflictAndRelease(t *testing.T) {
 	}
 	retry.Release()
 	retry.Release() // idempotent
+}
+
+// TestClaimRaceHasOneWinner: claimants racing for one key must produce
+// exactly one owner, every round. A lock that is visible before its PID is
+// written lets a loser read it as malformed, break it, and claim a cell that
+// is already being computed — the lock must appear with its contents.
+func TestClaimRaceHasOneWinner(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const claimants = 4
+	for round := 0; round < 200; round++ {
+		key := testKey(t, fmt.Sprintf("raced-%d", round))
+		claims := make([]*Claim, claimants)
+		errs := make([]error, claimants)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < claimants; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				claims[i], errs[i] = s.Claim(key)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		winners := 0
+		for i, c := range claims {
+			if errs[i] != nil {
+				t.Fatalf("round %d claimant %d: %v", round, i, errs[i])
+			}
+			if c != nil {
+				winners++
+				c.Release()
+			}
+		}
+		if winners != 1 {
+			t.Fatalf("round %d: %d claimants won the same cell, want 1", round, winners)
+		}
+	}
+	if left, _ := os.ReadDir(filepath.Join(s.Dir(), "tmp")); len(left) != 0 {
+		t.Fatalf("claims left %d entries in tmp/ (first: %s)", len(left), left[0].Name())
+	}
 }
 
 func TestClaimBreaksDeadOwner(t *testing.T) {

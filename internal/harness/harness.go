@@ -183,6 +183,14 @@ func runCell(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 			}
 			continue // owner released without committing: retry the claim
 		}
+		if spec.Cache.reads() {
+			// The previous owner may have committed between our miss and
+			// our claim; computing again would publish nothing new.
+			if rec, ok := replayCell(store, key, exp, sink, index, total); ok {
+				claim.Release()
+				return rec
+			}
+		}
 		return computeAndCommit(ctx, exp, spec, key, claim, sink, index, total, doneWall, attempt)
 	}
 }

@@ -86,14 +86,42 @@ func BenchmarkSaturatedLink(b *testing.B) {
 }
 
 // TestLinkAllocBudget asserts the warmed transmit loop allocates nothing:
-// after the packet pool and event heap reach steady state, a simulated
-// second of back-to-back transmissions (~30k events) must do zero heap
-// allocations. This pins down the tentpole property — pooled packets,
-// persistent transmit timer, handle-free arrival scheduling — as a test
-// rather than a benchmark delta.
+// after the packet pool, the event heap and the engine's slab reach steady
+// state, a simulated second of back-to-back transmissions (~20k events) must
+// do zero heap allocations. This pins down the tentpole properties — pooled
+// packets, persistent transmit timer, arrivals chained through the link's
+// lane — as a test rather than a benchmark delta. The impaired variant adds
+// jitter, duplicates (through the lane) and reordered packets (around it,
+// as ordinary handle-free events).
 func TestLinkAllocBudget(t *testing.T) {
-	eng, _, _ := saturatedLink(1)
-	eng.Run(sim.Second) // warm pools, heap, and free lists
+	t.Run("plain", func(t *testing.T) {
+		eng, _, _ := saturatedLink(1)
+		assertWarmLinkZeroAllocs(t, eng)
+		// Ten packets are propagating at any instant; the heap must hold
+		// the link's two sources (transmit timer, lane head), not them.
+		if qs := eng.QueueStats(); qs.HeapLen > 2 || qs.LaneFallbacks != 0 {
+			t.Errorf("saturated link's arrivals are not riding its lane: %+v", qs)
+		}
+	})
+	t.Run("impaired", func(t *testing.T) {
+		eng, _, l := saturatedLink(1)
+		l.JitterMax = 2 * sim.Millisecond
+		imp := NewImpairment(3)
+		imp.Dup, imp.Reorder, imp.ReorderMax = 0.1, 0.1, 4*sim.Millisecond
+		l.SetImpairment(imp)
+		assertWarmLinkZeroAllocs(t, eng)
+		if st := l.Impairments(); st.Duplicated == 0 || st.Reordered == 0 {
+			t.Errorf("impaired link injected no faults: %+v", st)
+		}
+		if qs := eng.QueueStats(); qs.LaneFallbacks != 0 {
+			t.Errorf("floor-respecting deliveries fell out of the lane: %+v", qs)
+		}
+	})
+}
+
+func assertWarmLinkZeroAllocs(t *testing.T, eng *sim.Engine) {
+	t.Helper()
+	eng.Run(sim.Second) // warm pools, heap, slab and free lists
 	allocs := testing.AllocsPerRun(5, func() {
 		eng.Run(eng.Now() + sim.Second)
 	})

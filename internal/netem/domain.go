@@ -178,9 +178,10 @@ func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 	for _, node := range n.Nodes {
 		node.dom = doms[assign[node.ID]]
 	}
-	// Rebind each link to its owner's engine. The transmit timer is
-	// re-created rather than migrated: NewTimer consumes no sequence
-	// numbers, so shard 0's event ordering is untouched. Queue RNGs are
+	// Rebind each link to its owner's engine. The transmit timer and the
+	// arrival lane are re-created rather than migrated: NewTimer and
+	// Lane.Init consume no sequence numbers, so shard 0's event ordering is
+	// untouched. Queue RNGs are
 	// rebound unconditionally — for domain 0 the owning engine is engine 0,
 	// so a queue seeded from Network.Engine().Rand() gets the very same
 	// generator back and serial draw order is preserved. Schedules migrate
@@ -191,6 +192,7 @@ func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 			l.dom = l.From.dom
 			l.eng = l.dom.eng
 			l.txDone = l.eng.NewTimer(l.completeTx)
+			l.arrivals.Init(l.eng, l.arriveFn)
 			if b, ok := l.Queue.(RandBinder); ok {
 				b.BindRand(l.eng.Rand())
 			}

@@ -209,3 +209,48 @@ func TestDomainAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartitionRebindsLanes: Partition re-creates every link's arrival lane
+// on the link's owning engine, as it does the transmit timer. With packets
+// propagating down c->d, a link wholly inside domain 1, engine 1 must be
+// holding them chained behind one lane key — more pending events than heap
+// keys — and engine 0 must hold nothing of that link's.
+func TestPartitionRebindsLanes(t *testing.T) {
+	g := sim.NewShardGroup(2, 1)
+	net, nodes := buildChain(g.Engine(0), 5*sim.Millisecond)
+	h := &countHandler{}
+	nodes[3].AttachFlow(1, h)
+	before := g.Engine(0).QueueStats()
+	if err := net.Partition(g, []int{0, 0, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if after := g.Engine(0).QueueStats(); after != before {
+		t.Fatalf("Partition touched engine 0's pending set: %+v -> %+v", before, after)
+	}
+	src := nodes[0]
+	for i := 0; i < 20; i++ {
+		p := src.NewPacket()
+		p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
+		net.SendFrom(src, p)
+	}
+	// 1 ms per transmission, 5 ms per hop: at 20 ms the burst's head has
+	// reached d and five packets are on the c->d wire.
+	g.Run(20 * sim.Millisecond)
+	e1 := g.Engine(1)
+	if chained := e1.Pending() - e1.QueueStats().HeapLen; chained < 3 {
+		t.Fatalf("engine 1 has %d pending events under %d keys: c->d's arrivals are not on its lane",
+			e1.Pending(), e1.QueueStats().HeapLen)
+	}
+	g.Run(sim.Second)
+	if h.n != 20 {
+		t.Fatalf("delivered %d of 20", h.n)
+	}
+	for i := 0; i < 2; i++ {
+		if qs := g.Engine(i).QueueStats(); qs.LaneFallbacks != 0 {
+			t.Fatalf("engine %d: %d lane fallbacks on FIFO links", i, qs.LaneFallbacks)
+		}
+	}
+	if err := net.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

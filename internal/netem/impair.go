@@ -192,7 +192,7 @@ func (l *Link) deliver(p *Packet, delay sim.Duration) {
 	}
 	l.lastDelivery = arrival
 	acct.InFlight++
-	l.eng.Post(arrival, l.arriveFn, p)
+	l.arrivals.Post(arrival, p)
 	l.maybeDup(p, delay)
 }
 
@@ -213,7 +213,7 @@ func (l *Link) maybeDup(p *Packet, delay sim.Duration) {
 		arrival = l.lastDelivery
 	}
 	l.lastDelivery = arrival
-	l.eng.Post(arrival, l.arriveFn, cp)
+	l.arrivals.Post(arrival, cp)
 }
 
 // arrive completes a packet's flight across the link.

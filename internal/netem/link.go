@@ -76,6 +76,12 @@ type Link struct {
 	inFlightTx sim.Duration // its serialization delay
 	arriveFn   func(any)    // bound arrival thunk reused by every delivery
 
+	// arrivals carries the link's floor-respecting deliveries (deliver's
+	// normal path and maybeDup): lastDelivery makes their times monotone, so
+	// however many packets are propagating the engine's heap holds one key
+	// for this link. Reordered packets bypass it through Engine.Post.
+	arrivals sim.Lane
+
 	// capHist records capacity changes (SetCapacity) as breakpoints of the
 	// running integral of capacity over time, so utilization windows that
 	// span a LinkSchedule rate change divide by the true deliverable bits

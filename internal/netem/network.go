@@ -155,6 +155,7 @@ func (n *Network) AddLink(from, to *Node, capacity float64, delay sim.Duration, 
 	l := &Link{From: from, To: to, Capacity: capacity, Delay: delay, Queue: q, eng: from.dom.eng, dom: from.dom}
 	l.txDone = l.eng.NewTimer(l.completeTx)
 	l.arriveFn = func(a any) { l.arrive(a.(*Packet)) }
+	l.arrivals.Init(l.eng, l.arriveFn)
 	from.out = append(from.out, l)
 	return l
 }

@@ -27,6 +27,12 @@ type SeriesWriter struct {
 	err         error
 	wroteHeader bool
 	buf         []byte
+
+	// A sampling tick records every series at one instant, so the
+	// timestamp's text is kept and reused while T repeats: shortest-float
+	// formatting is the dearest step of a Record.
+	tText  []byte
+	tValue float64
 }
 
 // NewJSONLWriter returns a SeriesWriter emitting JSON Lines.
@@ -57,25 +63,47 @@ func (sw *SeriesWriter) Record(p Point) {
 			sw.wroteHeader = true
 			b = append(b, "t_s,series,value\n"...)
 		}
-		b = strconv.AppendFloat(b, p.T, 'g', -1, 64)
+		b = append(b, sw.timeText(p.T)...)
 		b = append(b, ',')
 		b = append(b, p.Series...)
 		b = append(b, ',')
-		b = strconv.AppendFloat(b, p.Value, 'g', -1, 64)
+		b = appendValue(b, p.Value)
 		b = append(b, '\n')
 	} else {
 		b = append(b, `{"t":`...)
-		b = strconv.AppendFloat(b, p.T, 'g', -1, 64)
+		b = append(b, sw.timeText(p.T)...)
 		b = append(b, `,"series":"`...)
 		b = append(b, p.Series...) // CheckName guarantees no JSON metacharacters
 		b = append(b, `","v":`...)
-		b = strconv.AppendFloat(b, p.Value, 'g', -1, 64)
+		b = appendValue(b, p.Value)
 		b = append(b, "}\n"...)
 	}
 	sw.buf = b
 	if _, err := sw.w.Write(b); err != nil {
 		sw.err = err
 	}
+}
+
+// appendValue appends v in the shortest exact representation — what
+// strconv's 'g' format with precision -1 prints. Counters, queue lengths and
+// state flags are small integers, which that format prints as plain digits
+// below 1e6; those skip the shortest-float search.
+func appendValue(b []byte, v float64) []byte {
+	if -1e6 < v && v < 1e6 {
+		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// timeText returns t in the shortest exact representation.
+func (sw *SeriesWriter) timeText(t float64) []byte {
+	if len(sw.tText) == 0 || t != sw.tValue {
+		sw.tText = strconv.AppendFloat(sw.tText[:0], t, 'g', -1, 64)
+		sw.tValue = t
+	}
+	return sw.tText
 }
 
 // Flush drains the buffer and returns the sticky error, if any.

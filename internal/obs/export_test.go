@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -148,5 +151,44 @@ func TestReaderErrorsCarryLineNumbers(t *testing.T) {
 	_, err = ReadCSV(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("want line 3 in error, got %v", err)
+	}
+}
+
+// TestAppendValueMatchesStrconv: the integer fast path must print exactly
+// what the shortest 'g' format prints, so series files stay byte-identical.
+func TestAppendValueMatchesStrconv(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 7, 999999, -999999, 1e6, -1e6, 1e6 - 0.5,
+		123456.5, 0.1, 1e-7, 1e15, 1e21, math.MaxInt64, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, float64(rng.Intn(4e6)-2e6), rng.NormFloat64()*1e3)
+	}
+	for _, v := range vals {
+		want := strconv.AppendFloat(nil, v, 'g', -1, 64)
+		if got := appendValue(nil, v); string(got) != string(want) {
+			t.Fatalf("appendValue(%v) = %q, strconv prints %q", v, got, want)
+		}
+	}
+}
+
+// TestSeriesWriterRepeatedTimestamps: the cached timestamp text must track
+// T across ticks and through a repeat of an earlier instant.
+func TestSeriesWriterRepeatedTimestamps(t *testing.T) {
+	var buf bytes.Buffer
+	sw := NewJSONLWriter(&buf)
+	in := []Point{{0, "a", 1}, {0, "b", 2}, {0.1, "a", 3}, {0.1, "b", 4}, {0, "a", 5}}
+	for _, p := range in {
+		sw.Record(p)
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip = %v, want %v", out, in)
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Counter is a monotone event counter. The nil receiver is the disabled
 // instrument: Add and Inc on a nil *Counter are single-nil-check no-ops, so
@@ -60,34 +57,43 @@ func (g *Gauge) Value() float64 {
 // sub-buckets bound the relative width of any bucket at 1/8 of an octave
 // (≈9%), so quantile estimates are within a few percent of exact over the
 // full float64 range without picking a value range up front.
-const histSub = 8
+const (
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+)
 
 // Histogram is a log-linear histogram: observations are bucketed by binary
-// octave (exponent) subdivided into histSub linear sub-buckets. Buckets are
-// allocated lazily in a sparse map, so one histogram covers microseconds and
-// hundreds of seconds at once. Zero and negative observations share a
+// octave (exponent) subdivided into histSub linear sub-buckets. Bucket
+// counts live in a dense window that grows to span the keys actually seen
+// (histSub counters per octave), so one histogram covers microseconds
+// and hundreds of seconds at once and Observe is an index, not a map
+// operation — it runs once per ACK. Zero and negative observations share a
 // dedicated underflow bucket; non-finite observations are dropped. Observe
 // on a nil receiver is a no-op.
 type Histogram struct {
-	name    string
-	count   uint64
-	zeros   uint64 // observations <= 0
-	sum     float64
-	min     float64
-	max     float64
-	buckets map[int32]uint64 // key = exponent*histSub + sub-bucket
+	name   string
+	count  uint64
+	zeros  uint64 // observations <= 0
+	sum    float64
+	min    float64
+	max    float64
+	base   int32    // bucket key of counts[0]; key = exponent*histSub + sub-bucket
+	counts []uint64 // counts[k-base] is the population of bucket k
 }
 
-// bucketKey maps a positive finite v to its bucket. Frexp gives
-// v = frac * 2^exp with frac in [0.5, 1); the sub-bucket index is the linear
-// position of frac within that octave.
+// bucketKey maps a positive finite v to its bucket: v = frac * 2^exp with
+// frac in [0.5, 1) (math.Frexp's convention), and the sub-bucket index is
+// the linear position of frac within that octave. For a normal float64 both
+// come straight from the bits — the biased exponent, and the top
+// log2(histSub) mantissa bits — which keeps the per-ACK Observe to a few
+// integer operations; subnormals take the Frexp path.
 func bucketKey(v float64) int32 {
-	frac, exp := math.Frexp(v)
-	sub := int32((frac - 0.5) * (2 * histSub)) // in [0, histSub)
-	if sub >= histSub {                        // frac == nextafter(1, 0) rounding guard
-		sub = histSub - 1
+	bits := math.Float64bits(v)
+	if biased := int32(bits >> 52); biased != 0 {
+		return (biased-1022)*histSub + int32(bits>>(52-histSubBits))&(histSub-1)
 	}
-	return int32(exp)*histSub + sub
+	frac, exp := math.Frexp(v)
+	return int32(exp)*histSub + int32((frac-0.5)*(2*histSub))
 }
 
 // bucketBounds returns the [low, high) value range of a bucket key.
@@ -124,10 +130,26 @@ func (h *Histogram) Observe(v float64) {
 		h.zeros++
 		return
 	}
-	if h.buckets == nil {
-		h.buckets = make(map[int32]uint64)
+	k := bucketKey(v)
+	if i := int(k) - int(h.base); i >= 0 && i < len(h.counts) {
+		h.counts[i]++
+		return
 	}
-	h.buckets[bucketKey(v)]++
+	h.widen(k)
+	h.counts[k-h.base]++
+}
+
+// widen grows the window of bucket counts to include key k.
+func (h *Histogram) widen(k int32) {
+	if len(h.counts) == 0 {
+		h.base, h.counts = k, make([]uint64, 1)
+		return
+	}
+	lo := min(k, h.base)
+	hi := max(k, h.base+int32(len(h.counts))-1)
+	grown := make([]uint64, hi-lo+1)
+	copy(grown[h.base-lo:], h.counts)
+	h.base, h.counts = lo, grown
 }
 
 // Count returns the number of observations (0 on a nil histogram).
@@ -184,16 +206,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return h.clamp(h.min)
 	}
 	rank -= h.zeros
-	keys := make([]int32, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var seen uint64
-	for _, k := range keys {
-		seen += h.buckets[k]
-		if seen >= rank {
-			low, high := bucketBounds(k)
+	for i, c := range h.counts {
+		seen += c
+		if c > 0 && seen >= rank {
+			low, high := bucketBounds(h.base + int32(i))
 			return h.clamp((low + high) / 2)
 		}
 	}

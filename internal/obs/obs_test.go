@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -280,3 +282,59 @@ var errFail = &failError{}
 type failError struct{}
 
 func (*failError) Error() string { return "synthetic write failure" }
+
+// frexpKey is the bucket rule stated in terms of math.Frexp, the definition
+// bucketKey's bit arithmetic must agree with.
+func frexpKey(v float64) int32 {
+	frac, exp := math.Frexp(v)
+	return int32(exp)*histSub + int32((frac-0.5)*(2*histSub))
+}
+
+func TestBucketKeyMatchesFrexp(t *testing.T) {
+	vals := []float64{math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 0.5, math.Nextafter(1, 0), 1,
+		math.Nextafter(1, 2), 0.06, 1e9, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, math.Ldexp(0.5+rng.Float64()/2, rng.Intn(2040)-1060))
+	}
+	for _, v := range vals {
+		if v <= 0 {
+			continue
+		}
+		k := bucketKey(v)
+		if want := frexpKey(v); k != want {
+			t.Fatalf("bucketKey(%g) = %d, Frexp rule gives %d", v, k, want)
+		}
+		// Bucket edges are not representable among the subnormals.
+		if lo, hi := bucketBounds(k); v >= 0x1p-1022 && (v < lo || v >= hi) {
+			t.Fatalf("%g not inside its bucket [%g, %g)", v, lo, hi)
+		}
+	}
+}
+
+// TestHistogramWindowGrowsBothWays: the dense count window must keep every
+// observation however the keys arrive — above, below and far from the
+// window — and quantiles must land in the bucket of the exact order
+// statistic.
+func TestHistogramWindowGrowsBothWays(t *testing.T) {
+	h := &Histogram{}
+	vals := []float64{0.06, 0.061, 300, 1e-6, 0.2, 1e-300, 0.06, 5e-324, 1e300, 0.05}
+	for _, v := range vals {
+		h.Observe(v)
+	}
+	var n uint64
+	for _, c := range h.counts {
+		n += c
+	}
+	if n != uint64(len(vals)) || h.Count() != n {
+		t.Fatalf("window holds %d observations, Count %d, want %d", n, h.Count(), len(vals))
+	}
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	for rank := 1; rank <= len(sorted); rank++ {
+		got := h.Quantile(float64(rank) / float64(len(sorted)))
+		if bucketKey(got) != bucketKey(sorted[rank-1]) {
+			t.Fatalf("quantile at rank %d = %g, exact value %g is in another bucket", rank, got, sorted[rank-1])
+		}
+	}
+}

@@ -4,23 +4,34 @@ package sim
 // event sources that fire many times over a run (TCP retransmission and
 // delayed-ACK timers, link transmit completions, periodic samplers). Unlike
 // the one-shot Event returned by At, a Timer is allocated once and then
-// rearmed with Reset for the lifetime of its owner: a reset is one flag-and-
-// field update plus one heap push, with no allocation and no eager removal
-// of the superseded deadline.
+// rearmed with Reset for the lifetime of its owner.
 //
-// Internally every Reset stamps the timer with a fresh engine sequence
-// number and pushes a new heap entry carrying that stamp; entries whose
-// stamp no longer matches are discarded when popped (lazy deletion). The
-// sequence stamp is drawn from the same counter At uses, so a Reset
-// tie-breaks against same-instant events exactly like the cancel-and-
-// reschedule pattern it replaces — timers cannot perturb deterministic
-// event order.
+// Every Reset stamps the timer with a fresh engine sequence number, drawn
+// from the same counter At uses, and the timer fires under exactly that
+// (when, seq) key — so a Reset tie-breaks against same-instant events like
+// the cancel-and-reschedule pattern it replaces, and timers cannot perturb
+// deterministic event order.
+//
+// What Reset does not do is push a heap key per call. A timer has at most
+// one live key in the heap, its carrier. Moving the deadline later (an RTO
+// pushed out by every ACK) only updates the stamp; when the carrier surfaces
+// the engine sees the stamp has moved on and re-pushes it under the key the
+// latest Reset assigned, without advancing the clock or counting an event.
+// Only a Reset earlier than the carrier pushes a new one, and the old
+// carrier is then discarded when it surfaces (lazy deletion, as for a
+// stopped timer). The firing key is the same either way; the heap just no
+// longer fills with superseded deadlines.
 type Timer struct {
 	engine    *Engine
 	fn        func()
 	when      Time
 	seq       uint64
 	scheduled bool
+
+	// The live carrier's heap key; carrierSeq 0 means none (sequence numbers
+	// start at 1). Invariant while carried: carrierAt <= when.
+	carrierAt  Time
+	carrierSeq uint64
 }
 
 // NewTimer returns an unarmed timer that runs fn when it fires. Arm it with
@@ -44,7 +55,10 @@ func (t *Timer) Reset(at Time) {
 		t.scheduled = true
 		e.live++
 	}
-	e.push(entry{at: at, seq: t.seq, tm: t})
+	if t.carrierSeq == 0 || at < t.carrierAt {
+		t.carrierAt, t.carrierSeq = at, t.seq
+		e.enqueue(at, t.seq, nil, t)
+	}
 }
 
 // ResetAfter (re)arms the timer to fire d after the current time.

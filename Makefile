@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check validate-scenarios bench bench-micro bench-smoke bench-selftest bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-paper fuzz clean
+.PHONY: all build test vet check validate-scenarios bench bench-micro bench-smoke bench-selftest bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-check results-paper fuzz clean
 
 all: build check
 
@@ -85,27 +85,29 @@ bench-shards:
 # Sharded-engine smoke: the conservative-lookahead parallel engine's
 # correctness gate. Runs the shard unit and integration tests under the race
 # detector (cross-shard ports, domain partitioning, queue-RNG rebinding,
-# schedule migration, lazy cross-domain web sinks, the sharded runner's
-# one-shard bit-identity against the serial path, fixed-N determinism, and
-# the quick subset of the serial↔sharded differential suite), then
-# the cross-shard zero-alloc budget without race instrumentation, then the
-# CLI path end to end: -shards 1 must take the serial engine, and two
-# -shards 4 runs must note per-shard event counts and agree byte for byte
-# once wall-clock timing lines are filtered.
+# schedule migration, lazy cross-domain web sinks, the per-domain auditor
+# scopes, the group-of-one run's bit-identity against the recorded serial
+# tables, fixed-N determinism, and the quick subset of the serial↔sharded
+# differential suite), then the cross-shard zero-alloc budget without race
+# instrumentation, then the CLI path end to end: -shards 1 must run as a
+# group of one (no shard notes), and two -shards 4 runs must note per-shard
+# event counts and agree byte for byte once wall-clock timing lines are
+# filtered.
 shard-smoke:
-	$(GO) test -race -count=1 -timeout 15m -run 'Shard|Partition|TestCounters|TestDomainAudit' ./internal/sim/ ./internal/netem/ ./internal/scenario/ ./internal/experiments/ ./internal/tcp/ ./internal/trafficgen/
+	$(GO) test -race -count=1 -timeout 15m -run 'Shard|Partition|TestCounters|TestAudit' ./internal/sim/ ./internal/netem/ ./internal/scenario/ ./internal/experiments/ ./internal/tcp/ ./internal/trafficgen/
 	$(GO) test -count=1 -run 'TestShardSendDrainAllocBudget' ./internal/sim/
 	@dir=$$(mktemp -d); \
 	trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 1 > "$$dir/serial.txt" || exit 1; \
-	grep -q 'run serially (shards=1)' "$$dir/serial.txt" || { echo "shard-smoke: -shards 1 did not take the serial path"; exit 1; }; \
+	grep -q 'run serially (shards=1)' "$$dir/serial.txt" || { echo "shard-smoke: -shards 1 did not run as a group of one"; exit 1; }; \
+	! grep -q 'events_per_shard' "$$dir/serial.txt" || { echo "shard-smoke: a group-of-one run carries shard notes"; exit 1; }; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 4 > "$$dir/s4a.txt" || exit 1; \
 	$(GO) run ./cmd/pertbench -scale quick -exp ext-parkinglot-xl -parallel 1 -shards 4 > "$$dir/s4b.txt" || exit 1; \
 	grep -q 'shards=4 events_per_shard=' "$$dir/s4a.txt" || { echo "shard-smoke: missing per-shard event counts"; exit 1; }; \
 	grep -v 'completed in' "$$dir/s4a.txt" > "$$dir/s4a.flat"; \
 	grep -v 'completed in' "$$dir/s4b.txt" > "$$dir/s4b.flat"; \
 	diff -u "$$dir/s4a.flat" "$$dir/s4b.flat" || { echo "shard-smoke: sharded run not deterministic"; exit 1; }; \
-	echo "shard-smoke: OK (serial path, per-shard counts, deterministic replay)"
+	echo "shard-smoke: OK (group of one, per-shard counts, deterministic replay)"
 
 # Serial↔sharded differential suite, full depth: every registry experiment and
 # every committed example scenario run serial, -shards 1, 2 and 4, three reps
@@ -161,6 +163,20 @@ chaos-smoke:
 # Regenerate the committed quick-scale results file.
 results:
 	$(GO) run ./cmd/pertbench -scale quick > results_quick.txt
+
+# Non-destructive check of the committed quick-scale results: render the full
+# quick sweep to a temp file and diff it against results_quick.txt with the
+# wall-clock `completed in` lines filtered from both sides. Any other
+# difference is a changed table — either a bug or a deliberate change that
+# must land with `make results`.
+results-check:
+	@dir=$$(mktemp -d); \
+	trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/pertbench -scale quick > "$$dir/new.txt" || exit 1; \
+	grep -v 'completed in' results_quick.txt > "$$dir/want.flat"; \
+	grep -v 'completed in' "$$dir/new.txt" > "$$dir/got.flat"; \
+	diff -u "$$dir/want.flat" "$$dir/got.flat" || { echo "results-check: quick sweep differs from results_quick.txt"; exit 1; }; \
+	echo "results-check: OK (quick sweep byte-identical to results_quick.txt modulo timing lines)"
 
 # The paper's exact parameters; takes hours.
 results-paper:

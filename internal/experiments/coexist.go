@@ -7,9 +7,6 @@ import (
 	"pert/internal/netem"
 	"pert/internal/scenario"
 	"pert/internal/sim"
-	"pert/internal/stats"
-	"pert/internal/tcp"
-	"pert/internal/trafficgen"
 )
 
 // ExtCoexist quantifies the open issue of the paper's Section 7
@@ -45,7 +42,7 @@ func ExtCoexist(ctx context.Context, scale Scale) (*Table, error) {
 			ratio = f2(r.pertShare / r.sackShare)
 		}
 		t.AddRow(fmt.Sprintf("%.0f%%", frac*100), f3(r.pertShare), f3(r.sackShare),
-			ratio, f2(r.avgQueue), sci(r.dropRate), f3(r.util))
+			ratio, f2(r.avgQueue), sci(r.dropRate), f3(r.utilization))
 	}
 	t.Notes = append(t.Notes,
 		"shares are mean per-flow goodput fractions of link capacity",
@@ -56,17 +53,14 @@ func ExtCoexist(ctx context.Context, scale Scale) (*Table, error) {
 
 type coexistResult struct {
 	pertShare, sackShare float64
-	avgQueue, dropRate   float64
-	util                 float64
+	linkPanel            // the forward bottleneck over the window
 }
 
 // runCoexist runs one mixed PERT/SACK population over a DropTail dumbbell —
 // the same two-group scenario shape examples/scenarios/mixed_dumbbell.json
 // expresses in JSON. PERT hosts occupy the low host indices, SACK the rest.
 func runCoexist(seed int64, bw float64, nPert, nSack int, dur, from, until, sw sim.Duration) coexistResult {
-	eng := sim.NewEngine(seed)
-	net := netem.NewNetwork(eng)
-	inst := scenario.MustCompile(eng, net, scenario.Spec{
+	x := mustStart(scenario.Spec{
 		Name: "ext-coexist",
 		Seed: seed,
 		Topology: scenario.TopologySpec{
@@ -91,46 +85,16 @@ func runCoexist(seed int64, bw float64, nPert, nSack int, dur, from, until, sw s
 		},
 		Duration: dur, MeasureFrom: from, MeasureUntil: until,
 	})
-	inst.Spawn()
-	d := inst.Dumbbell()
-	pertFlows := inst.Groups[0].Flows
-	sackFlows := inst.Groups[1].Flows
+	scen := fmt.Sprintf("ext-coexist bw=%g pert=%d sack=%d", bw, nPert, nSack)
+	x.audit(netem.AuditConfig{Scenario: scen})
+	x.Spawn()
 
-	eng.Run(from)
-	meter := stats.NewMeter(d.Forward)
-	meter.Start(eng.Now())
-	qmon := stats.MonitorQueue(eng, d.Forward, eng.Now(), 10*sim.Millisecond)
-	pertSnap := trafficgen.GoodputSnapshot(pertFlows)
-	sackSnap := trafficgen.GoodputSnapshot(sackFlows)
-	eng.Run(until)
+	x.g.Run(from)
+	w := x.open()
+	x.g.Run(until)
 
-	window := (until - from).Seconds()
-	capacityBytes := bw / 8 * window
-	share := func(flows []*tcp.Flow, snap []uint64) float64 {
-		if len(flows) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, g := range trafficgen.Goodputs(flows, snap) {
-			sum += g
-		}
-		return sum / capacityBytes / float64(len(flows))
-	}
-	res := coexistResult{
-		pertShare: share(pertFlows, pertSnap),
-		sackShare: share(sackFlows, sackSnap),
-		avgQueue:  qmon.Series.Mean(),
-		dropRate:  meter.DropRate(),
-		util:      meter.Utilization(eng.Now()),
-	}
-	qmon.Stop()
-	_ = dur
+	capacityBytes := bw / 8 * (until - from).Seconds()
+	res := coexistResult{w.share(0, capacityBytes), w.share(1, capacityBytes), w.close()[0]}
+	x.mustFinish(scen)
 	return res
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

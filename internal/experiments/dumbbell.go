@@ -5,13 +5,11 @@ import (
 	"math/rand"
 
 	"pert/internal/netem"
-	"pert/internal/queue"
 	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/stats"
 	"pert/internal/tcp"
 	"pert/internal/topo"
-	"pert/internal/trafficgen"
 )
 
 // DumbbellSpec describes one single-bottleneck scenario (the Section 4
@@ -68,14 +66,11 @@ type DumbbellSpec struct {
 	// state is read-only, so results are bit-identical either way).
 	Metrics *MetricsSpec
 
-	// Shards > 1 asks for the parallel engine: the dumbbell is cut at the
-	// bottleneck into two domains (the topology's only useful cut, so any
-	// request above 2 clamps). Sharding engages only for registered schemes
-	// with no Metrics or Instrument hook — those attach cross-domain
-	// observers the parallel runner cannot isolate — and no delay-changing
-	// schedule (the boundary cut's lookahead is fixed); everything else
-	// silently runs serial, exactly as before. 0 and 1 are the serial
-	// engine, byte-identical to the historical path.
+	// Shards > 1 asks for the dumbbell to be cut at the bottleneck into two
+	// domains (its only useful cut, so any larger request clamps). The cut is
+	// made only where it is sound — see shardBar; a barred run is a group of
+	// one, and DumbbellResult.Domains reports which it was so tables can say
+	// so. 0 and 1 are the group of one.
 	Shards int
 }
 
@@ -98,60 +93,44 @@ type DumbbellResult struct {
 	// RetransOverhead is the fraction of forward long-flow segments that
 	// were retransmissions (wasted capacity), cumulative over the run.
 	RetransOverhead float64
+
+	// Domains is the number of shard domains the run was actually cut into
+	// (observed from the network, not copied from DumbbellSpec.Shards).
+	Domains int
 }
 
-// shardable reports whether this spec may take the parallel path for the
-// given scheme: the caller asked for shards, the scheme is registered (so
-// its shard-safety flag is checkable), no cross-domain observers are
-// attached, and no schedule step changes the bottleneck's delay (the
-// boundary cut's lookahead is fixed at partition time). Everything else
-// falls back to the serial engine.
-func (spec DumbbellSpec) shardable(scheme string) bool {
-	return spec.Shards > 1 && spec.Metrics == nil && spec.Instrument == nil &&
-		scenario.Known(scheme) && !spec.Schedule.HasDelayChange()
+// shardBar names what keeps this spec on one domain whatever Shards asks, or
+// "" when the bottleneck cut is sound: Metrics and Instrument attach observers
+// that read across the cut, a custom controller cannot be verified shard-safe,
+// and a delay-changing schedule would move the boundary's lookahead, which is
+// fixed at partition time.
+func (spec DumbbellSpec) shardBar(scheme string) string {
+	switch {
+	case spec.Metrics != nil:
+		return "metrics streaming"
+	case spec.Instrument != nil:
+		return "an Instrument hook"
+	case !scenario.Known(scheme):
+		return "a custom controller"
+	case spec.Schedule.HasDelayChange():
+		return "a delay-changing schedule"
+	}
+	return ""
 }
 
 // RunDumbbell executes the scenario under one scheme and returns the
 // measured row.
 func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
-	var g *sim.ShardGroup
-	var eng *sim.Engine
-	if spec.shardable(string(scheme)) {
-		// A dumbbell has exactly one useful cut (the bottleneck), so any
-		// larger request clamps to two domains.
-		g = sim.NewShardGroup(2, spec.Seed)
-		eng = g.Engine(0)
-	} else {
-		eng = sim.NewEngine(spec.Seed)
-	}
-	net := netem.NewNetwork(eng)
-
-	maxRTT := spec.RTTs[0]
-	for _, r := range spec.RTTs {
-		if r > maxRTT {
-			maxRTT = r
-		}
-	}
-	env := schemeEnv{
-		capacityPPS: spec.Bandwidth / (8 * 1040),
-		nFlows:      spec.Flows + spec.ReverseFlows,
-		maxRTT:      maxRTT,
-		targetDelay: spec.TargetDelay,
-	}
-	res := runDumbbell(g, eng, net, spec, string(scheme), scheme.queueFor(net, env), scheme.ccFor(net, env), scheme.ecn(), webCC(scheme, scheme.ccFor(net, env)))
+	res := runDumbbell(spec, string(scheme), nil)
 	res.Scheme = scheme
 	return res
 }
 
 // RunDumbbellWith executes the scenario with an explicit congestion-control
 // factory over DropTail bottlenecks — the entry point for PERT ablation
-// studies (custom response curves, signal weights, rate limits). Custom
-// factories cannot be verified shard-safe, so this path is always serial.
+// studies (custom response curves, signal weights, rate limits).
 func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) DumbbellResult {
-	eng := sim.NewEngine(spec.Seed)
-	net := netem.NewNetwork(eng)
-	qf := func(limit int, _ float64) netem.Discipline { return queue.NewDropTail(limit) }
-	return runDumbbell(nil, eng, net, spec, "custom-cc", qf, cc, false, cc)
+	return runDumbbell(spec, "custom-cc", cc)
 }
 
 // scenarioSpec translates the legacy flat DumbbellSpec into a declarative
@@ -159,7 +138,7 @@ func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) Dumbbel
 // the compiler's derivation rules) because the historical formulas differ:
 // the buffer floor is twice the *forward* flow count and hosts count web
 // sessions, both of which the committed tables depend on.
-func (spec DumbbellSpec) scenarioSpec(qf topo.QueueFactory) scenario.Spec {
+func (spec DumbbellSpec) scenarioSpec() scenario.Spec {
 	hosts := spec.Flows + spec.ReverseFlows + spec.WebSessions
 	if hosts < 1 {
 		hosts = 1
@@ -179,7 +158,6 @@ func (spec DumbbellSpec) scenarioSpec(qf topo.QueueFactory) scenario.Spec {
 			RTTs:         spec.RTTs,
 			BufferPkts:   spec.BufferPkts,
 			AccessJitter: spec.AccessJitter,
-			Queue:        qf,
 		},
 		Links: []scenario.LinkRule{{
 			Link:         "forward",
@@ -201,22 +179,15 @@ func (spec DumbbellSpec) scenarioSpec(qf topo.QueueFactory) scenario.Spec {
 	}
 }
 
-// runDumbbell is the shared scenario body, expressed on the scenario
-// compiler. Construction order is a bit-identity contract with the committed
-// tables: compile (topology, impairments, schedule), then observers in the
-// historical order (metrics registry, auditor, Instrument hook, delay
-// monitor), then traffic.
+// runDumbbell is the shared scenario body, expressed on the scenario compiler
+// and run by the one executor. Construction order is a bit-identity contract
+// with the committed tables: compile (topology, impairments, schedule) and
+// partition, then observers in the historical order (metrics registry,
+// auditor, Instrument hook, delay monitor), then traffic.
 //
-// g selects the execution mode: nil runs the serial engine exactly as
-// always; a shard group partitions the dumbbell at the bottleneck (left
-// side plus R1 on shard 0, R2 plus right side on shard 1) and runs the same
-// windows under conservative-lookahead synchronization. Instrumentation is
-// created and read only at the quiescent points between windows, and the
-// auditors become per-domain, each ticking on its own shard's engine.
-func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec DumbbellSpec, scheme string,
-	qf topo.QueueFactory, ccf func() tcp.CongestionControl, ecn bool,
-	webccf func() tcp.CongestionControl) DumbbellResult {
-
+// cc nil runs the registered scheme; otherwise the long flows and the web
+// transfers run cc over DropTail bottlenecks and scheme only labels the run.
+func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionControl) DumbbellResult {
 	if spec.BufferPkts == 0 {
 		// The paper's rule: buffer = BDP with a floor of twice the number
 		// of flows.
@@ -231,31 +202,22 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 		}
 	}
 
-	sspec := spec.scenarioSpec(qf)
-	if g != nil {
-		// Declare the sharded execution so the spec-level shard-safety
-		// validation runs, and name the groups' scheme so it can: the
-		// compiled CC/Conn are overwritten below either way, so naming the
-		// scheme changes no construction draws.
-		sspec.Shards = g.N()
+	// Naming the scheme lets the compiler resolve queue, controllers and ECN
+	// from the registry; the environment it derives from the spec (capacity,
+	// fwd+rev flow count, largest RTT, target delay) is the historical one.
+	sspec := spec.scenarioSpec()
+	sspec.Topology.AQM = string(SackDroptail) // what a custom controller runs over
+	if cc == nil {
+		sspec.Topology.AQM = scheme
 		for i := range sspec.Groups {
 			sspec.Groups[i].Scheme = scheme
 		}
 	}
-	inst := scenario.MustCompile(eng, net, sspec)
-	d := inst.Dumbbell()
-	if g != nil {
-		if err := net.Partition(g, inst.Topo.PartitionHint(g.N())); err != nil {
-			panic(fmt.Sprintf("experiments: dumbbell partition: %v", err))
-		}
+	if spec.shardBar(scheme) == "" {
+		sspec.Shards = spec.Shards
 	}
-	run := func(until sim.Duration) {
-		if g != nil {
-			g.Run(sim.Time(until))
-		} else {
-			eng.Run(until)
-		}
-	}
+	x := mustStart(sspec)
+	d := x.Dumbbell()
 
 	scenarioLine := fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d loss=%g dup=%g reorder=%g changes=%d",
 		scheme, spec.Bandwidth, spec.Flows, spec.ReverseFlows, spec.WebSessions,
@@ -264,38 +226,16 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 	// The observability registry (nil when spec.Metrics is nil) is built
 	// before the auditor so a violation's repro bundle can include the
 	// flight-recorder dump.
-	reg := spec.Metrics.newRegistry(eng, scenarioLine)
+	reg := spec.Metrics.newRegistry(x.Eng, scenarioLine)
 
-	var auds []*netem.Auditor
 	if !spec.NoAudit {
-		// Every dumbbell run carries the invariant auditor: packet
-		// conservation, link accounting, and bottleneck queue bounds checked
-		// periodically, with the bottleneck's trailing trace kept for the
-		// repro bundle. A violation panics; the run harness converts that
-		// into a per-run error carrying the bundle.
-		cfg := netem.AuditConfig{Seed: spec.Seed, Scenario: scenarioLine}
+		// The bottleneck's trailing trace is kept for the repro bundle; the
+		// reverse bottleneck is bounded but not traced.
+		cfg := netem.AuditConfig{Scenario: scenarioLine}
 		if fl := reg.Flight(); fl != nil {
 			cfg.MetricsDump = fl.Dump
 		}
-		if g == nil {
-			aud := netem.StartAudit(net, cfg)
-			aud.Watch(d.Forward)
-			aud.BoundQueue(d.Forward, d.BufferPkts)
-			aud.BoundQueue(d.Reverse, d.BufferPkts)
-		} else {
-			// Per-domain auditors, each on its own shard's engine; each
-			// watched link registers with the auditor of the domain owning
-			// it (the forward bottleneck is shard 0's, the reverse shard
-			// 1's). The summed cross-domain ledger is checked by Audit()
-			// after the run.
-			auds = make([]*netem.Auditor, net.Domains())
-			for dom := range auds {
-				auds[dom] = netem.StartDomainAudit(net, dom, cfg)
-			}
-			auds[d.Forward.From.Domain()].Watch(d.Forward)
-			auds[d.Forward.From.Domain()].BoundQueue(d.Forward, d.BufferPkts)
-			auds[d.Reverse.From.Domain()].BoundQueue(d.Reverse, d.BufferPkts)
-		}
+		x.audit(cfg, d.Reverse)
 	}
 
 	if spec.Instrument != nil {
@@ -308,26 +248,22 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 	// One shared connection config for both long-flow directions: the RTT
 	// observer must chain onto a single histogram, as the hand-wired
 	// scenario did.
-	conn := tcp.Config{ECN: ecn}
+	conn := x.Groups[0].Conn
 	observeRTT(reg, &conn)
-	inst.Groups[0].CC, inst.Groups[0].Conn = ccf, conn
-	inst.Groups[1].CC, inst.Groups[1].Conn = ccf, conn
-	inst.Groups[2].CC, inst.Groups[2].Conn = webccf, tcp.Config{ECN: ecn}
-	inst.Spawn()
-	fwd := inst.Groups[0].Flows
+	x.Groups[0].Conn, x.Groups[1].Conn = conn, conn
+	if cc != nil {
+		for _, g := range x.Groups {
+			g.CC = cc
+		}
+	}
+	x.Spawn()
+	fwd := x.Groups[0].Flows
 	spec.Metrics.instrumentDumbbell(reg, d, fwd)
 
 	// Warm up, then measure.
-	run(spec.MeasureFrom)
-	meter := stats.NewMeter(d.Forward)
-	meter.Start(eng.Now())
-	// The queue monitor samples on the engine owning the bottleneck — the
-	// same engine either way (R1 lives on shard 0), spelled through the
-	// node so the ownership rule is explicit.
-	qmon := stats.MonitorQueue(d.Forward.From.Engine(), d.Forward, eng.Now(), 10*sim.Millisecond)
-	snap := trafficgen.GoodputSnapshot(fwd)
-
-	run(spec.MeasureUntil)
+	x.g.Run(spec.MeasureFrom)
+	w := x.open()
+	x.g.Run(spec.MeasureUntil)
 	var sent, retrans uint64
 	for _, f := range fwd {
 		sent += f.Conn.Stats.SegsSent
@@ -338,32 +274,23 @@ func runDumbbell(g *sim.ShardGroup, eng *sim.Engine, net *netem.Network, spec Du
 		overhead = float64(retrans) / float64(sent)
 	}
 	p50, p95, p99 := delayMon.P50P95P99()
+	p := w.close()[0]
 	res := DumbbellResult{
 		RetransOverhead: overhead,
 		DelayP50:        p50,
 		DelayP95:        p95,
 		DelayP99:        p99,
-		AvgQueue:        qmon.Series.Mean(),
-		NormQueue:       qmon.Series.Mean() / float64(d.BufferPkts),
-		DropRate:        meter.DropRate(),
-		MarkRate:        meter.MarkRate(),
-		Utilization:     meter.Utilization(eng.Now()),
-		Jain:            stats.Jain(trafficgen.Goodputs(fwd, snap)),
+		AvgQueue:        p.avgQueue,
+		NormQueue:       p.avgQueue / float64(d.BufferPkts),
+		DropRate:        p.dropRate,
+		MarkRate:        p.markRate,
+		Utilization:     p.utilization,
+		Jain:            stats.Jain(w.goodputs(0)),
 		BufferPkts:      d.BufferPkts,
+		Domains:         x.Net.Domains(),
 	}
-	qmon.Stop()
-	run(spec.Duration)
-	if g != nil {
-		for _, aud := range auds {
-			aud.Stop()
-		}
-		// The group has stopped: the summed cross-domain ledger must
-		// balance. The serial auditor enforces the same invariant by
-		// panicking mid-run, so a violation here is equally fatal.
-		if err := net.Audit(); err != nil {
-			panic(fmt.Sprintf("experiments: dumbbell scheme=%s shards=%d: %v", scheme, g.N(), err))
-		}
-	}
+	x.g.Run(spec.Duration)
+	x.mustFinish(scenarioLine)
 	// Close flushes the metrics sink; write errors are sticky on the
 	// caller-owned writer, so the caller's own flush/close reports them.
 	_ = reg.Close()

@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
-	"pert/internal/tcp"
-	"pert/internal/topo"
 	"pert/internal/trafficgen"
 )
 
@@ -149,65 +148,34 @@ func ExtFlap(ctx context.Context, scale Scale) ([]*Table, error) {
 // schedule stays legal on the boundary because it changes only capacity and
 // up/down state, never delay (the partition would reject a delay change).
 func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, shards int) ([]float64, uint64) {
-	var g *sim.ShardGroup
-	var eng *sim.Engine
-	if shards > 1 {
-		g = sim.NewShardGroup(2, seed)
-		eng = g.Engine(0)
-	} else {
-		eng = sim.NewEngine(seed)
-	}
-	net := netem.NewNetwork(eng)
-	env := schemeEnv{capacityPPS: bw / (8 * 1040), nFlows: flows, maxRTT: ms(60)}
-	d := topo.NewDumbbell(net, topo.DumbbellConfig{
-		Bandwidth: bw,
-		Delay:     ms(20),
-		Hosts:     flows,
-		RTTs:      []sim.Duration{ms(60)},
-		Queue:     scheme.queueFor(net, env),
-	})
 	sched, phases := extFlapPhases(bw, L)
-	sched.Apply(d.Forward)
-	if g != nil {
-		if err := net.Partition(g, d.PartitionHint(g.N())); err != nil {
-			panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, g.N(), err))
-		}
-	}
-
-	scen := fmt.Sprintf("ext-flap scheme=%s bw=%g flows=%d", scheme, bw, flows)
-	var auds []*netem.Auditor
-	if g == nil {
-		aud := netem.StartAudit(net, netem.AuditConfig{Seed: seed, Scenario: scen})
-		aud.Watch(d.Forward)
-		aud.BoundQueue(d.Forward, d.BufferPkts)
-		auds = []*netem.Auditor{aud}
-	} else {
-		auds = make([]*netem.Auditor, net.Domains())
-		for dom := range auds {
-			auds[dom] = netem.StartDomainAudit(net, dom, netem.AuditConfig{Seed: seed, Scenario: scen})
-		}
-		auds[d.Forward.From.Domain()].Watch(d.Forward)
-		auds[d.Forward.From.Domain()].BoundQueue(d.Forward, d.BufferPkts)
-	}
-
-	ids := trafficgen.NewIDs()
-	fleet := trafficgen.FTPFleet(net, ids, d.Left, d.Right, flows, trafficgen.FTPConfig{
-		CC:          scheme.ccFor(net, env),
-		Conn:        tcp.Config{ECN: scheme.ecn()},
-		StartWindow: L / 5,
+	x := mustStart(scenario.Spec{
+		Name: "ext-flap",
+		Seed: seed,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: bw,
+			Delay:     ms(20),
+			Hosts:     flows,
+			RTTs:      []sim.Duration{ms(60)},
+			AQM:       string(scheme),
+		},
+		Links: []scenario.LinkRule{{Link: "forward", Schedule: sched}},
+		Groups: []scenario.FlowGroupSpec{{
+			Scheme: string(scheme), Count: flows, From: "left", To: "right", StartWindow: L / 5,
+		}},
+		Duration: sim.Time(len(phases)) * L,
+		Shards:   shards,
 	})
+	scen := fmt.Sprintf("ext-flap scheme=%s bw=%g flows=%d", scheme, bw, flows)
+	x.audit(netem.AuditConfig{Scenario: scen})
+	x.Spawn()
 
-	run := func(until sim.Time) {
-		if g != nil {
-			g.Run(until)
-		} else {
-			eng.Run(until)
-		}
-	}
+	fleet := x.Groups[0].Flows
 	out := make([]float64, len(phases))
 	prev := trafficgen.GoodputSnapshot(fleet)
 	for pi := range phases {
-		run(sim.Time(pi+1) * L)
+		x.g.Run(sim.Time(pi+1) * L)
 		var sum float64
 		for _, gp := range trafficgen.Goodputs(fleet, prev) {
 			sum += gp
@@ -215,13 +183,6 @@ func runFlap(scheme Scheme, bw float64, flows int, L sim.Duration, seed int64, s
 		prev = trafficgen.GoodputSnapshot(fleet)
 		out[pi] = sum * 8 / L.Seconds() / 1e6
 	}
-	if g != nil {
-		for _, aud := range auds {
-			aud.Stop()
-		}
-		if err := net.Audit(); err != nil {
-			panic(fmt.Sprintf("experiments: ext-flap scheme=%s shards=%d: %v", scheme, g.N(), err))
-		}
-	}
-	return out, d.Forward.Impairments().Blackholed
+	x.mustFinish(scen)
+	return out, x.Dumbbell().Forward.Impairments().Blackholed
 }

@@ -3,9 +3,14 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"pert/internal/netem"
+	"pert/internal/scenario"
+	"pert/internal/sim"
 )
 
 // TestExtHybridEquilibriumConformance is the acceptance gate of the hybrid
@@ -91,5 +96,39 @@ func TestExtHybridSerialOnly(t *testing.T) {
 	// spec never sets Shards, so the registry run must succeed regardless.
 	if _, err := ExtHybrid(WithShards(context.Background(), 4), Quick); err != nil {
 		t.Fatalf("ext-hybrid with -shards must be a no-op, got %v", err)
+	}
+}
+
+// TestPartitionOfOneTakesFluidDumbbell: a group of one is the serial run, so
+// Partition takes a dumbbell whose bottleneck already carries a fluid source
+// and the run reproduces the unpartitioned one exactly — link counters, the
+// modeled backlog, and the number of events engine 0 executed.
+func TestPartitionOfOneTakesFluidDumbbell(t *testing.T) {
+	run := func(partition bool) string {
+		spec := extHybridSpec(Quick, PERT)
+		spec.Duration, spec.MeasureFrom, spec.MeasureUntil = seconds(4), seconds(1), seconds(3)
+		g := sim.NewShardGroup(1, spec.Seed)
+		net := netem.NewNetwork(g.Engine(0))
+		inst := scenario.MustCompile(g.Engine(0), net, spec)
+		inst.Spawn() // attaches the fluid aggregate to the forward bottleneck
+		if partition {
+			if err := net.Partition(g, inst.Topo.PartitionHint(1)); err != nil {
+				t.Fatalf("one-shard partition of a fluid-carrying dumbbell: %v", err)
+			}
+		}
+		events := g.Run(spec.Duration)
+		if err := net.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		fwd := inst.Dumbbell().Forward
+		return fmt.Sprintf("%+v backlog=%v rate=%v events=%d", fwd.Stats,
+			inst.Groups[1].Fluid.Backlog(), inst.Groups[1].Fluid.Rate(), events)
+	}
+	whole, cut := run(false), run(true)
+	if whole != cut {
+		t.Errorf("one-shard partition changed the run\nunpartitioned: %s\npartitioned:   %s", whole, cut)
+	}
+	if !strings.Contains(whole, "backlog=") || strings.Contains(whole, "backlog=0 ") {
+		t.Errorf("fluid source never built a backlog: %s", whole)
 	}
 }

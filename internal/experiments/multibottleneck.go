@@ -6,10 +6,7 @@ import (
 
 	"pert/internal/netem"
 	"pert/internal/scenario"
-	"pert/internal/sim"
 	"pert/internal/stats"
-	"pert/internal/tcp"
-	"pert/internal/trafficgen"
 )
 
 // Fig11 reproduces "Impact of multiple bottleneck links": the Figure 10
@@ -37,9 +34,6 @@ func Fig11(ctx context.Context, scale Scale) (*Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		eng := sim.NewEngine(7000 + int64(si))
-		net := netem.NewNetwork(eng)
-
 		// Hop-by-hop groups cloud i -> cloud i+1, then through traffic
 		// crossing every core link — attach order fixes the start-time draws.
 		var groups []scenario.FlowGroupSpec
@@ -57,7 +51,7 @@ func Fig11(ctx context.Context, scale Scale) (*Table, error) {
 			From: "cloud1", To: fmt.Sprintf("cloud%d", routers),
 			StartWindow: sw,
 		})
-		inst := scenario.MustCompile(eng, net, scenario.Spec{
+		x := mustStart(scenario.Spec{
 			Name: "fig11",
 			Seed: 7000 + int64(si),
 			Topology: scenario.TopologySpec{
@@ -74,38 +68,22 @@ func Fig11(ctx context.Context, scale Scale) (*Table, error) {
 			// all-groups total.
 			Env: &scenario.Env{CapacityPPS: coreBW / (8 * 1040), NFlows: perHop, MaxRTT: ms(60)},
 		})
-		inst.Spawn()
-		p := inst.ParkingLot()
-		hopFlows := make([][]*tcp.Flow, len(p.Forward))
-		for i := range hopFlows {
-			hopFlows[i] = inst.Groups[i].Flows
-		}
-		through := inst.Groups[len(inst.Groups)-1].Flows
+		x.audit(netem.AuditConfig{Scenario: "fig11 scheme=" + string(scheme)})
+		x.Spawn()
 
-		eng.Run(from)
-		meters := make([]*stats.Meter, len(p.Forward))
-		qmons := make([]*stats.QueueMonitor, len(p.Forward))
-		for i, l := range p.Forward {
-			meters[i] = stats.NewMeter(l)
-			meters[i].Start(eng.Now())
-			qmons[i] = stats.MonitorQueue(eng, l, eng.Now(), 10*sim.Millisecond)
-		}
-		snaps := make([][]uint64, len(hopFlows))
-		for i, fs := range hopFlows {
-			snaps[i] = trafficgen.GoodputSnapshot(fs)
-		}
-		throughSnap := trafficgen.GoodputSnapshot(through)
-
-		eng.Run(until)
-		for i := range p.Forward {
-			jain := stats.Jain(trafficgen.Goodputs(hopFlows[i], snaps[i]))
+		x.g.Run(from)
+		w := x.open()
+		x.g.Run(until)
+		// Groups are the hops in core-link order, then the through traffic.
+		panels := w.close()
+		for i, p := range panels {
 			t.AddRow(string(scheme), fmt.Sprintf("R%d-R%d", i+1, i+2),
-				f2(qmons[i].Series.Mean()), sci(meters[i].DropRate()),
-				f3(meters[i].Utilization(eng.Now())), f3(jain))
-			qmons[i].Stop()
+				f2(p.avgQueue), sci(p.dropRate), f3(p.utilization), f3(stats.Jain(w.goodputs(i))))
 		}
-		t.AddRow(string(scheme), "through", "-", "-", "-",
-			f3(stats.Jain(trafficgen.Goodputs(through, throughSnap))))
+		t.AddRow(string(scheme), "through", "-", "-", "-", f3(stats.Jain(w.goodputs(len(panels)))))
+		if err := x.finish(); err != nil {
+			return nil, fmt.Errorf("fig11 scheme=%s %w", scheme, err)
+		}
 	}
 	t.Notes = append(t.Notes, "through = fairness among cloud1->cloud6 flows crossing all core links")
 	return t, nil

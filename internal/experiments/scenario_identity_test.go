@@ -54,6 +54,7 @@ func TestScenarioCompilerBitIdentity(t *testing.T) {
 				netem.NewTracer(&gotTrace).Attach(d.Forward)
 			}
 			got := RunDumbbell(nspec, s)
+			got.Domains = 0 // the frozen reference predates the field
 
 			if want != got {
 				t.Errorf("compiler path diverged from legacy:\n  legacy:   %+v\n  compiler: %+v", want, got)
@@ -79,6 +80,7 @@ func TestScenarioCompilerBitIdentityPlain(t *testing.T) {
 	}
 	want := legacyRunDumbbellScheme(spec, SackDroptail)
 	got := RunDumbbell(spec, SackDroptail)
+	got.Domains = 0 // the frozen reference predates the field
 	if want != got {
 		t.Errorf("compiler path diverged from legacy:\n  legacy:   %+v\n  compiler: %+v", want, got)
 	}

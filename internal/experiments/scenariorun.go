@@ -7,7 +7,6 @@ import (
 	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/stats"
-	"pert/internal/trafficgen"
 )
 
 // RunScenario executes a general declarative scenario (schema v2) end to end
@@ -17,52 +16,30 @@ import (
 // page/object counts for web groups). This is the engine behind
 // `pertsim -config` for v2 files — mixed-scheme, multi-bottleneck runs need
 // no Go code.
+//
+// The run goes through the one executor, cut into spec.EffectiveShards()
+// domains (serial = a group of one); the notes mention shards — count,
+// per-shard event totals, any clamp — only when that count exceeds one.
 func RunScenario(spec scenario.Spec) (*Table, error) {
-	if spec.EffectiveShards() > 1 {
-		return runScenarioSharded(spec)
-	}
-	eng := sim.NewEngine(spec.Seed)
-	net := netem.NewNetwork(eng)
-	inst, err := scenario.Compile(eng, net, spec)
+	x, err := start(spec)
 	if err != nil {
 		return nil, err
 	}
-
 	name := spec.Name
 	if name == "" {
 		name = "scenario"
 	}
-	measured := inst.Topo.Measured()
-
-	// Every scenario run carries the invariant auditor on its core links,
-	// like the built-in experiments do.
-	aud := netem.StartAudit(net, netem.AuditConfig{
-		Seed:     spec.Seed,
+	x.audit(netem.AuditConfig{
 		Scenario: fmt.Sprintf("scenario %s template=%s groups=%d", name, spec.Topology.Template, len(spec.Groups)),
 	})
-	for _, ml := range measured {
-		aud.Watch(ml.Link)
-		aud.BoundQueue(ml.Link, inst.Topo.BufferPkts())
-	}
-
-	inst.Spawn()
+	x.Spawn()
 
 	until := spec.MeasureUntil
 	if until == 0 {
 		until = spec.Duration
 	}
-	eng.Run(spec.MeasureFrom)
-	meters := make([]*stats.Meter, len(measured))
-	qmons := make([]*stats.QueueMonitor, len(measured))
-	for i, ml := range measured {
-		meters[i] = stats.NewMeter(ml.Link)
-		meters[i].Start(eng.Now())
-		qmons[i] = stats.MonitorQueue(eng, ml.Link, eng.Now(), 10*sim.Millisecond)
-	}
-	snaps := make([][]uint64, len(inst.Groups))
-	for i, g := range inst.Groups {
-		snaps[i] = trafficgen.GoodputSnapshot(g.Flows)
-	}
+	x.g.Run(spec.MeasureFrom)
+	w := x.open()
 
 	// Fluid background groups: sample the modeled backlog and arrival rate
 	// over the window on the same cadence as the queue monitors. Scenarios
@@ -72,24 +49,26 @@ func RunScenario(spec scenario.Spec) (*Table, error) {
 		backlog, rate stats.Series
 	}
 	fmons := map[int]*fluidSample{}
-	for i, g := range inst.Groups {
+	for i, g := range x.Groups {
 		if g.Fluid != nil {
 			fmons[i] = &fluidSample{}
 		}
 	}
 	if len(fmons) > 0 {
-		eng.Every(eng.Now(), 10*sim.Millisecond, func(sim.Time) {
+		// Fluid groups are single-domain (Validate rejects them above one
+		// shard), so engine 0 owns the sources sampled here.
+		x.Eng.Every(x.Eng.Now(), 10*sim.Millisecond, func(sim.Time) {
 			for i, m := range fmons {
-				m.backlog.Add(inst.Groups[i].Fluid.Backlog())
-				m.rate.Add(inst.Groups[i].Fluid.Rate())
+				m.backlog.Add(x.Groups[i].Fluid.Backlog())
+				m.rate.Add(x.Groups[i].Fluid.Rate())
 			}
 		})
 	}
 
-	eng.Run(until)
+	x.g.Run(until)
 	t := &Table{
 		ID:    name,
-		Title: fmt.Sprintf("Scenario %s (%s, %d groups, buffer %d pkts)", name, spec.Topology.Template, len(spec.Groups), inst.Topo.BufferPkts()),
+		Title: fmt.Sprintf("Scenario %s (%s, %d groups, buffer %d pkts)", name, spec.Topology.Template, len(spec.Groups), x.Topo.BufferPkts()),
 		Header: []string{"row", "avg_queue_pkts", "drop_rate", "mark_rate", "utilization",
 			"goodput_share_per_flow", "jain"},
 	}
@@ -98,13 +77,13 @@ func RunScenario(spec scenario.Spec) (*Table, error) {
 	if pkt == 0 {
 		pkt = 1040
 	}
-	capacityBytes := inst.Topo.CapacityPPS() * float64(pkt) * window
-	for i, ml := range measured {
-		t.AddRow("link "+ml.Name, f2(qmons[i].Series.Mean()), sci(meters[i].DropRate()),
-			sci(meters[i].MarkRate()), f3(meters[i].Utilization(eng.Now())), "-", "-")
-		qmons[i].Stop()
+	capacityBytes := x.Topo.CapacityPPS() * float64(pkt) * window
+	measured := x.Topo.Measured()
+	for i, p := range w.close() {
+		t.AddRow("link "+measured[i].Name, f2(p.avgQueue), sci(p.dropRate),
+			sci(p.markRate), f3(p.utilization), "-", "-")
 	}
-	for i, g := range inst.Groups {
+	for i, g := range x.Groups {
 		label := "group " + g.Label()
 		if m, ok := fmons[i]; ok {
 			// Modeled aggregate: its queue share, rate as a utilization
@@ -115,14 +94,10 @@ func RunScenario(spec scenario.Spec) (*Table, error) {
 			continue
 		}
 		if len(g.Flows) > 0 {
-			goodputs := trafficgen.Goodputs(g.Flows, snaps[i])
-			var sum float64
-			for _, b := range goodputs {
-				sum += b
-			}
-			share := sum / capacityBytes / float64(len(g.Flows))
-			t.AddRow(label, "-", "-", "-", "-", f3(share), f3(stats.Jain(goodputs)))
+			t.AddRow(label, "-", "-", "-", "-", f3(w.share(i, capacityBytes)), f3(stats.Jain(w.goodputs(i))))
 		} else if len(g.Webs) > 0 {
+			// Session counters are owned by each session's shard; reading
+			// them is safe because the group is quiescent between windows.
 			var pages, objects uint64
 			for _, w := range g.Webs {
 				pages += w.Pages
@@ -132,8 +107,19 @@ func RunScenario(spec scenario.Spec) (*Table, error) {
 				fmt.Sprintf("%d pages", pages), fmt.Sprintf("%d objects", objects))
 		}
 	}
-	eng.Run(spec.Duration)
+	x.g.Run(spec.Duration)
+	if err := x.finish(); err != nil {
+		return nil, fmt.Errorf("scenario %s %w", name, err)
+	}
 	t.Notes = append(t.Notes,
 		"goodput_share_per_flow = mean per-flow goodput as a fraction of core capacity over the window")
+	if n := x.Net.Domains(); n > 1 {
+		// The load-balance evidence the benchmark reads.
+		t.Notes = append(t.Notes, fmt.Sprintf("shards=%d events_per_shard=%v", n, x.g.EventCounts()))
+		if _, clamped, max := spec.ShardClamp(); clamped {
+			t.Notes = append(t.Notes,
+				fmt.Sprintf("requested shards=%d clamped to the topology maximum %d", spec.Shards, max))
+		}
+	}
 	return t, nil
 }

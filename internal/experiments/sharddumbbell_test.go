@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"pert/internal/netem"
 	"pert/internal/sim"
+	"pert/internal/tcp"
+	"pert/internal/topo"
 )
 
 // TestShardDumbbellRouterAQMWebSchedule exercises every feature this PR made
@@ -45,32 +48,81 @@ func TestShardDumbbellRouterAQMWebSchedule(t *testing.T) {
 	}
 }
 
-// TestShardDumbbellSerialFallback pins the shardable gate: shards<=1, custom
-// metrics, an unregistered scheme, or a delay-changing schedule all fall back
-// to the serial engine, and a shards=1 run is byte-identical to shards=0.
+// TestShardDumbbellSerialFallback pins the bottleneck-cut gate and what it
+// does to a run: shards<=1 is the group of one; metrics streaming, an
+// Instrument hook, an unregistered scheme or a delay-changing schedule bar the
+// cut whatever Shards asks, and the result reports the domain count the run
+// actually used. The group-of-one run is byte-identical to the frozen
+// hand-wired reference at Shards 0 and 1 alike.
 func TestShardDumbbellSerialFallback(t *testing.T) {
 	base := quickSpec(31)
-	if base.shardable(string(PERT)) {
-		t.Fatal("shards=0 spec reported shardable")
+	base.Shards = 2
+	if bar := base.shardBar(string(PERT)); bar != "" {
+		t.Fatalf("plain spec barred from the cut by %s", bar)
 	}
-	sharded := base
-	sharded.Shards = 2
-	if !sharded.shardable(string(PERT)) {
-		t.Fatal("plain sharded spec not shardable")
+	if base.shardBar("not-a-registered-scheme") == "" {
+		t.Fatal("unregistered scheme not barred")
 	}
-	if sharded.shardable("not-a-registered-scheme") {
-		t.Fatal("unregistered scheme reported shardable")
-	}
-	delayed := sharded
+	delayed := base
 	delayed.Schedule = netem.LinkSchedule{{At: sim.Second, Delay: ms(5)}}
-	if delayed.shardable(string(PERT)) {
-		t.Fatal("delay-changing schedule reported shardable")
+	hooked := base
+	hooked.Instrument = func(*topo.Dumbbell) {}
+	for name, spec := range map[string]DumbbellSpec{"delay-changing schedule": delayed, "Instrument hook": hooked} {
+		if spec.shardBar(string(PERT)) == "" {
+			t.Fatalf("%s not barred", name)
+		}
+		if r := RunDumbbell(spec, PERT); r.Domains != 1 {
+			t.Fatalf("%s: barred run used %d domains", name, r.Domains)
+		}
+	}
+	if r := RunDumbbell(base, PERT); r.Domains != 2 {
+		t.Fatalf("shards=2 run used %d domains", r.Domains)
+	}
+	if r := RunDumbbellWith(base, func() tcp.CongestionControl { return tcp.NewVegas() }); r.Domains != 1 {
+		t.Fatalf("custom-controller run used %d domains", r.Domains)
 	}
 
-	serial := RunDumbbell(base, PERT)
-	one := base
-	one.Shards = 1
-	if got := RunDumbbell(one, PERT); !reflect.DeepEqual(serial, got) {
-		t.Fatalf("shards=1 diverged from serial:\nserial: %+v\nshards=1: %+v", serial, got)
+	base.Shards = 0
+	want := legacyRunDumbbellScheme(base, PERT)
+	want.Domains = 1 // the frozen reference predates the field
+	for _, shards := range []int{0, 1} {
+		spec := base
+		spec.Shards = shards
+		if got := RunDumbbell(spec, PERT); !reflect.DeepEqual(want, got) {
+			t.Fatalf("shards=%d diverged from the hand-wired reference:\nlegacy: %+v\ngot:    %+v", shards, want, got)
+		}
+	}
+}
+
+// TestSweepShardNoteTellsTheTruth: a sweep's sharding note is derived from
+// the domain count each cell's run reports. Without a -shards request there
+// is no note; with one, cells that took the cut and cells barred from it
+// (here: by metrics streaming) are counted separately and the bar is named.
+func TestSweepShardNoteTellsTheTruth(t *testing.T) {
+	spec := quickSpecShort(5)
+	delayed := spec
+	delayed.Schedule = netem.LinkSchedule{{At: 5 * sim.Second, Delay: ms(25)}}
+	points := []sweepPoint{{"plain", spec}, {"delayed", delayed}}
+	sweep := func(ctx context.Context) []string {
+		tab, err := runSweep(ctx, "note-test", "note test", "x", points, []Scheme{PERT, SackDroptail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.Notes
+	}
+	if notes := sweep(context.Background()); len(notes) != 0 {
+		t.Errorf("no -shards request, yet notes: %v", notes)
+	}
+	if notes := sweep(WithShards(context.Background(), 1)); len(notes) != 0 {
+		t.Errorf("-shards 1 is the group of one, yet notes: %v", notes)
+	}
+	want := "requested shards=4: 2 of 4 cells ran on a dumbbell's 2 domains (see DESIGN.md §9); 2 ran on 1, barred by a delay-changing schedule"
+	if notes := sweep(WithShards(context.Background(), 4)); len(notes) != 1 || notes[0] != want {
+		t.Errorf("notes = %q\nwant    [%q]", notes, want)
+	}
+	streamed := WithMetrics(WithShards(context.Background(), 2), MetricsConfig{Dir: t.TempDir()})
+	want = "requested shards=2: 0 of 4 cells ran on a dumbbell's 2 domains (see DESIGN.md §9); 4 ran on 1, barred by metrics streaming"
+	if notes := sweep(streamed); len(notes) != 1 || notes[0] != want {
+		t.Errorf("notes = %q\nwant    [%q]", notes, want)
 	}
 }

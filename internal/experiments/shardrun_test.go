@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -48,34 +50,42 @@ func tableFingerprint(t *Table) string {
 	return string(b)
 }
 
-// TestShardedRunnerSerialIdentity: the sharded code path with a group of one
-// shard produces the same table, byte for byte, as the serial RunScenario
-// path, across a randomized sample of scenario shapes. This pins the whole
-// chain — domain-0 packet IDs, auditor event sequence, instrumentation
-// attach order — not just the engine layer.
+// TestShardedRunnerSerialIdentity: the executor's group-of-one run produces
+// the tables the serial engine produced before the serial/sharded fork was
+// removed, byte for byte, across a randomized sample of scenario shapes — with
+// Shards 0 and Shards 1 alike. The golden fingerprints were recorded from
+// RunScenario's serial path (sim.NewEngine, no Partition, StartAudit on the
+// one engine) at the last commit that had one. This pins the whole chain —
+// domain-0 packet IDs, auditor event sequence, instrumentation attach order —
+// not just the engine layer.
 func TestShardedRunnerSerialIdentity(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "serial_identity_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []string
+	if err := json.Unmarshal(raw, &golden); err != nil || len(golden) != 4 {
+		t.Fatalf("golden file: %d fingerprints, err %v", len(golden), err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	delayPool := []sim.Duration{ms(1), ms(2), ms(4), ms(8)}
-	for trial := 0; trial < 4; trial++ {
+	for trial, want := range golden {
 		routers := 3 + rng.Intn(3)
 		edges := make([]sim.Duration, 1+rng.Intn(3))
 		for i := range edges {
 			edges[i] = delayPool[rng.Intn(len(delayPool))]
 		}
 		spec := xlTestSpec(100+int64(trial), routers, edges)
-
-		serial, err := RunScenario(spec) // Shards=0: serial path
-		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
-		}
-		spec.Shards = 1
-		sharded, err := runScenarioSharded(spec) // forced through the group path
-		if err != nil {
-			t.Fatalf("trial %d sharded: %v", trial, err)
-		}
-		if got, want := tableFingerprint(sharded), tableFingerprint(serial); got != want {
-			t.Errorf("trial %d (routers=%d edges=%v): one-shard table diverged from serial\nserial:  %s\nsharded: %s",
-				trial, routers, edges, want, got)
+		for _, shards := range []int{0, 1} {
+			spec.Shards = shards
+			tab, err := RunScenario(spec)
+			if err != nil {
+				t.Fatalf("trial %d shards=%d: %v", trial, shards, err)
+			}
+			if got := tableFingerprint(tab); got != want {
+				t.Errorf("trial %d (routers=%d edges=%v) shards=%d: table diverged from the recorded serial run\nserial: %s\ngot:    %s",
+					trial, routers, edges, shards, want, got)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"pert/internal/sim"
 )
@@ -42,15 +44,14 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 		s     Scheme
 		spec  DumbbellSpec
 	}
-	// A -shards request propagates into every cell; RunDumbbell clamps it
-	// to the dumbbell's one useful cut and falls back to serial for cells
-	// it cannot shard (metrics-streaming runs below).
-	shards := ShardsFrom(ctx, 0)
+	// A -shards request propagates into every cell; the note below reports
+	// what each cell's run actually did with it.
+	requested := ShardsFrom(ctx, 0)
 	cells := make([]cell, 0, len(points)*len(schemes))
 	for _, pt := range points {
 		for _, s := range schemes {
 			spec := pt.spec
-			spec.Shards = shards
+			spec.Shards = requested
 			cells = append(cells, cell{pt.label, s, spec})
 		}
 	}
@@ -87,9 +88,23 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 		t.AddRow(cells[i].label, string(cells[i].s), f2(r.AvgQueue), f3(r.NormQueue),
 			sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization), f3(r.Jain))
 	}
-	if shards > 1 {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("cells run on the sharded engine (requested shards=%d, clamped to a dumbbell's 2 domains; see DESIGN.md §9)", shards))
+	if requested > 1 {
+		// Derived from what the runs report, not from the request: a cell
+		// barred from the cut (shardBar) ran on one domain and says why.
+		cut := 0
+		var bars []string // distinct, in cell order
+		for i, r := range results {
+			if r.Domains > 1 {
+				cut++
+			} else if bar := cells[i].spec.shardBar(string(cells[i].s)); !slices.Contains(bars, bar) {
+				bars = append(bars, bar)
+			}
+		}
+		note := fmt.Sprintf("requested shards=%d: %d of %d cells ran on a dumbbell's 2 domains (see DESIGN.md §9)", requested, cut, len(cells))
+		if cut < len(cells) {
+			note += fmt.Sprintf("; %d ran on 1, barred by %s", len(cells)-cut, strings.Join(bars, ", "))
+		}
+		t.Notes = append(t.Notes, note)
 	}
 	return t, nil
 }

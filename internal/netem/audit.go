@@ -163,21 +163,22 @@ type AuditConfig struct {
 // sample-time monotonicity, keeping a bounded ring of recent packet events so
 // a violation ships with its trailing trace. Attach with StartAudit.
 type Auditor struct {
+	scopes []*auditScope // one per shard domain, indexed by domain
+}
+
+// auditScope is one domain's share of an Auditor: it ticks on the domain's
+// engine and holds the ring and bounds of the links the domain owns, so
+// concurrently running shards share no auditor state.
+type auditScope struct {
 	net    *Network
 	cfg    AuditConfig
+	dom    *domain
 	bounds []queueBound
 	ring   []auditTraceEvent
 	next   int  // ring write cursor
 	full   bool // ring has wrapped
 	last   sim.Time
 	ticker *sim.Ticker
-
-	// dom, when non-nil, scopes the auditor to one shard domain
-	// (StartDomainAudit): it ticks on that domain's engine and checks only
-	// that domain's links, skipping the network-wide conservation equation
-	// — which spans state owned by concurrently running shards and only
-	// balances over the sum anyway.
-	dom *domain
 }
 
 type queueBound struct {
@@ -199,7 +200,15 @@ type auditTraceEvent struct {
 }
 
 // StartAudit attaches an auditor to the network and schedules its periodic
-// checks from sim time 0. Watch links and bound queues before traffic starts.
+// checks from sim time 0, one ticker per domain — so call it after Partition;
+// Watch links and bound queues before traffic starts.
+//
+// On a one-domain network every tick runs the full Network.Audit. On a
+// partitioned one the conservation equation spans state owned by concurrently
+// running shards, so each tick checks the links of its own domain and the
+// summed ledger is left to a Network.Audit call once the shard group has
+// stopped. Domain 0's ticker consumes the same engine-0 sequence number either
+// way, which is part of the shards=1 bit-identity contract.
 func StartAudit(n *Network, cfg AuditConfig) *Auditor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * sim.Millisecond
@@ -207,36 +216,20 @@ func StartAudit(n *Network, cfg AuditConfig) *Auditor {
 	if cfg.TraceDepth <= 0 {
 		cfg.TraceDepth = 32
 	}
-	a := &Auditor{net: n, cfg: cfg, ring: make([]auditTraceEvent, cfg.TraceDepth)}
-	a.ticker = n.eng.Every(0, cfg.Interval, a.check)
-	return a
-}
-
-// StartDomainAudit attaches an auditor scoped to one shard domain of a
-// partitioned network, ticking on that domain's engine — safe while the
-// other shards run concurrently. It verifies per-link accounting and queue
-// sanity for the domain's links plus any bounds registered with BoundQueue
-// (watch and bound only links the domain owns); the global conservation
-// equation is left to a whole-network Audit after the group stops.
-//
-// Domain 0's auditor consumes exactly the engine-0 sequence numbers a
-// serial StartAudit would, which is part of the shards=1 bit-identity
-// contract.
-func StartDomainAudit(n *Network, dom int, cfg AuditConfig) *Auditor {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * sim.Millisecond
+	a := &Auditor{}
+	for _, d := range n.doms {
+		s := &auditScope{net: n, cfg: cfg, dom: d, ring: make([]auditTraceEvent, cfg.TraceDepth)}
+		s.ticker = d.eng.Every(0, cfg.Interval, s.check)
+		a.scopes = append(a.scopes, s)
 	}
-	if cfg.TraceDepth <= 0 {
-		cfg.TraceDepth = 32
-	}
-	a := &Auditor{net: n, cfg: cfg, ring: make([]auditTraceEvent, cfg.TraceDepth), dom: n.doms[dom]}
-	a.ticker = a.dom.eng.Every(0, cfg.Interval, a.check)
 	return a
 }
 
 // Watch records the link's packet events (enqueue/dequeue/drop) in the
-// auditor's trailing-trace ring, chaining with hooks already installed.
-func (a *Auditor) Watch(l *Link) {
+// trailing-trace ring of the domain that owns the link, chaining with hooks
+// already installed.
+func (aud *Auditor) Watch(l *Link) {
+	a := aud.scopes[l.dom.idx]
 	record := func(op byte) func(p *Packet, now sim.Time) {
 		return func(p *Packet, now sim.Time) {
 			e := auditTraceEvent{op: op, t: now, from: l.From.ID, to: l.To.ID,
@@ -275,42 +268,34 @@ func (a *Auditor) Watch(l *Link) {
 
 // BoundQueue asserts that the link's queue never holds more than pkts packets
 // at audit time — the queue-bound invariant for disciplines with a known
-// limit.
+// limit — checked on the ticks of the domain owning the link.
 func (a *Auditor) BoundQueue(l *Link, pkts int) {
-	a.bounds = append(a.bounds, queueBound{l, pkts})
+	s := a.scopes[l.dom.idx]
+	s.bounds = append(s.bounds, queueBound{l, pkts})
 }
 
 // Stop cancels the periodic checks.
-func (a *Auditor) Stop() { a.ticker.Stop() }
-
-// Check runs one audit pass immediately (the periodic ticker calls this too).
-func (a *Auditor) Check() {
-	if a.dom != nil {
-		a.check(a.dom.eng.Now())
-		return
+func (a *Auditor) Stop() {
+	for _, s := range a.scopes {
+		s.ticker.Stop()
 	}
-	a.check(a.net.eng.Now())
 }
 
-func (a *Auditor) check(now sim.Time) {
+// Check runs one audit pass over every domain immediately; call it only
+// while no shard is running.
+func (a *Auditor) Check() {
+	for _, s := range a.scopes {
+		s.check(s.dom.eng.Now())
+	}
+}
+
+func (a *auditScope) check(now sim.Time) {
 	if now < a.last {
 		a.fail(now, fmt.Sprintf("event time moved backwards: %v after %v", now, a.last))
 		return
 	}
 	a.last = now
-	if a.dom != nil {
-		for _, node := range a.net.Nodes {
-			if node.dom != a.dom {
-				continue
-			}
-			for _, l := range node.out {
-				if err := auditLink(l); err != nil {
-					a.fail(now, err.Error())
-					return
-				}
-			}
-		}
-	} else if err := a.net.Audit(); err != nil {
+	if err := a.audit(); err != nil {
 		a.fail(now, err.Error())
 		return
 	}
@@ -322,7 +307,25 @@ func (a *Auditor) check(now sim.Time) {
 	}
 }
 
-func (a *Auditor) fail(now sim.Time, violation string) {
+// audit is one tick's structural check (see StartAudit).
+func (a *auditScope) audit() error {
+	if len(a.net.doms) == 1 {
+		return a.net.Audit()
+	}
+	for _, node := range a.net.Nodes {
+		if node.dom != a.dom {
+			continue
+		}
+		for _, l := range node.out {
+			if err := auditLink(l); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (a *auditScope) fail(now sim.Time, violation string) {
 	err := &ViolationError{
 		Violation: violation,
 		At:        now,
@@ -341,7 +344,7 @@ func (a *Auditor) fail(now sim.Time, violation string) {
 }
 
 // trace renders the ring as Tracer-format lines, oldest first.
-func (a *Auditor) trace() []string {
+func (a *auditScope) trace() []string {
 	var events []auditTraceEvent
 	if a.full {
 		events = append(events, a.ring[a.next:]...)

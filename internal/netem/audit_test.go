@@ -113,11 +113,11 @@ func TestAuditTimeMonotonicity(t *testing.T) {
 	var got *ViolationError
 	aud := StartAudit(net, AuditConfig{Seed: 1, Scenario: "clock",
 		OnViolation: func(v *ViolationError) { got = v }})
-	aud.check(5 * sim.Millisecond)
+	aud.scopes[0].check(5 * sim.Millisecond)
 	if got != nil {
 		t.Fatalf("forward sample flagged: %v", got)
 	}
-	aud.check(3 * sim.Millisecond)
+	aud.scopes[0].check(3 * sim.Millisecond)
 	if got == nil || !strings.Contains(got.Violation, "backwards") {
 		t.Fatalf("violation: %+v", got)
 	}
@@ -201,5 +201,75 @@ func TestAuditViolationCarriesFlightDump(t *testing.T) {
 	}
 	if strings.Contains(bare.Error(), "flight recorder") {
 		t.Errorf("bundle without MetricsDump mentions the flight recorder")
+	}
+}
+
+// TestAuditPartitioned: on a 2-domain network one StartAudit ticks on both
+// shard engines while the group runs, Watch and BoundQueue land on the domain
+// owning the link without the caller naming it, and a corrupted ledger — which
+// no domain can see mid-run — is reported by the close-time Audit. On a
+// 1-domain group the same corruption still aborts mid-run with the bundle.
+func TestAuditPartitioned(t *testing.T) {
+	run := func(shards int, assign []int, onViolation func(*ViolationError)) (*Network, *Auditor, []*Node) {
+		g := sim.NewShardGroup(shards, 1)
+		net, nodes := buildChain(g.Engine(0), 2*sim.Millisecond)
+		h := &countHandler{}
+		nodes[3].AttachFlow(1, h)
+		if err := net.Partition(g, assign); err != nil {
+			t.Fatal(err)
+		}
+		aud := StartAudit(net, AuditConfig{Seed: 8, Scenario: "partitioned", Interval: sim.Millisecond,
+			OnViolation: onViolation})
+		for i := 0; i < 3; i++ {
+			l := nodes[i].LinkTo(nodes[i+1].ID)
+			aud.Watch(l)
+			aud.BoundQueue(l, 100)
+		}
+		src := nodes[0]
+		for i := 0; i < 50; i++ {
+			src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+				p := src.NewPacket()
+				p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
+				net.SendFrom(src, p)
+			})
+		}
+		// A lost-packet bug, 10 ms into the run, on the shard owning domain 0.
+		src.Engine().At(10*sim.Millisecond, func() { net.doms[0].acct.Injected++ })
+		g.Run(200 * sim.Millisecond)
+		if h.n != 50 {
+			t.Fatalf("shards=%d: delivered %d of 50", shards, h.n)
+		}
+		return net, aud, nodes
+	}
+
+	net, aud, _ := run(2, []int{0, 0, 1, 1}, func(v *ViolationError) {
+		t.Errorf("a domain tick saw the cross-domain ledger: %v", v)
+	})
+	if len(aud.scopes) != 2 {
+		t.Fatalf("%d scopes on a 2-domain network", len(aud.scopes))
+	}
+	for d, want := range []int{2, 1} { // a->b and b->c are domain 0's, c->d domain 1's
+		s := aud.scopes[d]
+		if len(s.bounds) != want || s.next == 0 || s.last == 0 {
+			t.Errorf("domain %d: %d bounds (want %d), %d ring events, last tick %v", d, len(s.bounds), want, s.next, s.last)
+		}
+	}
+	aud.Stop()
+	if err := net.Audit(); err == nil || !strings.Contains(err.Error(), "conservation") {
+		t.Fatalf("close-time Audit on a corrupted 2-domain ledger: %v", err)
+	}
+
+	var got *ViolationError
+	run(1, []int{0, 0, 0, 0}, func(v *ViolationError) {
+		if got == nil {
+			got = v
+		}
+	})
+	if got == nil || !strings.Contains(got.Violation, "conservation") {
+		t.Fatalf("1-domain corruption not caught mid-run: %+v", got)
+	}
+	if got.At < 10*sim.Millisecond || got.At > 11*sim.Millisecond || got.Seed != 8 ||
+		got.Scenario != "partitioned" || len(got.Trace) == 0 {
+		t.Fatalf("bundle: at=%v seed=%d scenario=%q trace=%d lines", got.At, got.Seed, got.Scenario, len(got.Trace))
 	}
 }

@@ -121,8 +121,8 @@ func (n *Network) Domains() int { return len(n.doms) }
 // ran it.
 //
 // Partition also completes domain ownership for per-link state armed at
-// build time: queue disciplines implementing RandBinder are rebound to their
-// owning engine's generator (a pointer-identical no-op for domain 0), and
+// build time, for every link that leaves domain 0: queue disciplines
+// implementing RandBinder are rebound to their owning engine's generator and
 // LinkSchedule change events are re-armed on the owning engine, so AQM
 // marking draws and mid-run capacity shifts / flaps stay shard-local.
 //
@@ -133,7 +133,9 @@ func (n *Network) Domains() int { return len(n.doms) }
 // up/down flaps on boundary links are fine — both act on the transmitting
 // side only, and the shard protocol's horizon advances from engine commits
 // rather than packet sends, so a down boundary link cannot stall its
-// neighbor.
+// neighbor. A link carrying a hybrid fluid source is rejected by any group of
+// more than one shard (there is no cross-domain fluid coupling); a group of
+// one takes it, being the serial run.
 func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 	if len(n.doms) != 1 {
 		return fmt.Errorf("netem: network already partitioned into %d domains", len(n.doms))
@@ -154,7 +156,7 @@ func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 	}
 	for _, node := range n.Nodes {
 		for _, l := range node.out {
-			if l.fluid != nil {
+			if l.fluid != nil && g.N() > 1 {
 				return fmt.Errorf("netem: %v has a hybrid fluid source; fluid/packet co-simulation is serial-only (no cross-domain fluid coupling yet)", l)
 			}
 			if assign[l.From.ID] == assign[l.To.ID] {
@@ -178,25 +180,21 @@ func (n *Network) Partition(g *sim.ShardGroup, assign []int) error {
 	for _, node := range n.Nodes {
 		node.dom = doms[assign[node.ID]]
 	}
-	// Rebind each link to its owner's engine. The transmit timer and the
-	// arrival lane are re-created rather than migrated: NewTimer and
-	// Lane.Init consume no sequence numbers, so shard 0's event ordering is
-	// untouched. Queue RNGs are
-	// rebound unconditionally — for domain 0 the owning engine is engine 0,
-	// so a queue seeded from Network.Engine().Rand() gets the very same
-	// generator back and serial draw order is preserved. Schedules migrate
-	// only off engine 0: domain-0 links keep their original change events
-	// (and their original sequence numbers).
+	// Rebind each link that moved off engine 0 to its owner's engine; a link
+	// staying in domain 0 (every link, for a group of one) keeps its timer,
+	// lane, queue generator and schedule events exactly as built. The
+	// transmit timer and the arrival lane are re-created rather than
+	// migrated: NewTimer and Lane.Init consume no sequence numbers.
 	for _, node := range n.Nodes {
 		for _, l := range node.out {
 			l.dom = l.From.dom
-			l.eng = l.dom.eng
-			l.txDone = l.eng.NewTimer(l.completeTx)
-			l.arrivals.Init(l.eng, l.arriveFn)
-			if b, ok := l.Queue.(RandBinder); ok {
-				b.BindRand(l.eng.Rand())
-			}
-			if l.dom.idx != 0 {
+			if l.eng != l.dom.eng {
+				l.eng = l.dom.eng
+				l.txDone = l.eng.NewTimer(l.completeTx)
+				l.arrivals.Init(l.eng, l.arriveFn)
+				if b, ok := l.Queue.(RandBinder); ok {
+					b.BindRand(l.eng.Rand())
+				}
 				l.migrateSchedule()
 			}
 			if l.From.dom == l.To.dom {

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 
 	"pert/internal/sim"
@@ -179,37 +180,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-// TestDomainAudit: a domain-scoped auditor checks only its own links and
-// runs safely while the group is active.
-func TestDomainAudit(t *testing.T) {
-	g := sim.NewShardGroup(2, 1)
-	net, nodes := buildChain(g.Engine(0), 2*sim.Millisecond)
-	h := &countHandler{}
-	nodes[3].AttachFlow(1, h)
-	if err := net.Partition(g, []int{0, 0, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < net.Domains(); d++ {
-		StartDomainAudit(net, d, AuditConfig{Seed: 1, Scenario: "domain-audit", Interval: sim.Millisecond})
-	}
-	src := nodes[0]
-	for i := 0; i < 50; i++ {
-		i := i
-		src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
-			p := src.NewPacket()
-			p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
-			net.SendFrom(src, p)
-		})
-	}
-	g.Run(200 * sim.Millisecond)
-	if h.n != 50 {
-		t.Fatalf("delivered %d of 50", h.n)
-	}
-	if err := net.Audit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPartitionRebindsLanes: Partition re-creates every link's arrival lane
 // on the link's owning engine, as it does the transmit timer. With packets
 // propagating down c->d, a link wholly inside domain 1, engine 1 must be
@@ -220,12 +190,26 @@ func TestPartitionRebindsLanes(t *testing.T) {
 	net, nodes := buildChain(g.Engine(0), 5*sim.Millisecond)
 	h := &countHandler{}
 	nodes[3].AttachFlow(1, h)
+	// A link staying in domain 0 is left exactly as built: same transmit
+	// timer, and its queue keeps the generator it was constructed with even
+	// when that is not engine 0's.
+	stay, move := nodes[0].LinkTo(nodes[1].ID), nodes[2].LinkTo(nodes[3].ID)
+	own := rand.New(rand.NewSource(7))
+	q := &markingQueue{tail: tail{limit: 100}, rng: own}
+	stay.Queue = q
+	stayTx, moveTx := stay.txDone, move.txDone
 	before := g.Engine(0).QueueStats()
 	if err := net.Partition(g, []int{0, 0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if after := g.Engine(0).QueueStats(); after != before {
 		t.Fatalf("Partition touched engine 0's pending set: %+v -> %+v", before, after)
+	}
+	if stay.txDone != stayTx || q.rng != own {
+		t.Fatal("Partition rebound a link that stayed in domain 0")
+	}
+	if move.txDone == moveTx {
+		t.Fatal("Partition left a domain-1 link's transmit timer on engine 0")
 	}
 	src := nodes[0]
 	for i := 0; i < 20; i++ {

@@ -118,10 +118,10 @@ type Discipline interface {
 }
 
 // RandBinder is implemented by disciplines whose decisions draw from a
-// random generator. Network.Partition rebinds each such queue to its owning
-// shard's engine generator so marking randomness stays domain-local; for
-// links staying in domain 0 the rebind hands back the same generator the
-// queue was built with, preserving serial draw order bit for bit.
+// random generator. Network.Partition rebinds each such queue that leaves
+// domain 0 to its owning shard's engine generator so marking randomness
+// stays domain-local; links staying in domain 0 keep the generator the queue
+// was built with, preserving serial draw order bit for bit.
 type RandBinder interface {
 	BindRand(*rand.Rand)
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check validate-scenarios bench bench-micro bench-smoke bench-selftest bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-check results-paper fuzz clean
+.PHONY: all build test vet check one-path validate-scenarios bench bench-micro bench-smoke bench-selftest bench-shards cache-smoke chaos-smoke shard-smoke shard-diff hybrid-smoke results results-check results-paper fuzz clean
 
 all: build check
 
@@ -15,11 +15,22 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full gate: vet, every committed example scenario validated against the
-# loader, then the test suite under the race detector (exercises the harness
-# and the parallel sweep workers).
-check: vet validate-scenarios
+# Full gate: vet, the one-run-path gate, every committed example scenario
+# validated against the loader, then the test suite under the race detector
+# (exercises the harness and the parallel sweep workers).
+check: vet one-path validate-scenarios
 	$(GO) test -race -timeout 20m ./...
+
+# One run path: every packet-level run in internal/experiments is built by
+# executor.go (engine group, network, topology via the scenario compiler, the
+# auditor). A second constructor anywhere else in the package's non-test code
+# is a run without the auditor waiting to happen.
+one-path:
+	@if grep -nE 'sim\.NewEngine\(|sim\.NewShardGroup\(|netem\.NewNetwork\(|topo\.NewDumbbell\(|topo\.NewParkingLot\(|netem\.StartAudit\(' \
+		$$(ls internal/experiments/*.go | grep -v -e '_test\.go$$' -e '/executor\.go$$'); then \
+		echo "one-path: only internal/experiments/executor.go may build an engine, network, topology or auditor"; exit 1; \
+	fi
+	@echo "one-path: OK (executor.go is the only constructor in internal/experiments)"
 
 # Validate every example scenario JSON against the live loader.
 validate-scenarios:
@@ -87,8 +98,9 @@ bench-shards:
 # detector (cross-shard ports, domain partitioning, queue-RNG rebinding,
 # schedule migration, lazy cross-domain web sinks, the per-domain auditor
 # scopes, the group-of-one run's bit-identity against the recorded serial
-# tables, fixed-N determinism, and the quick subset of the serial↔sharded
-# differential suite), then the cross-shard zero-alloc budget without race
+# tables, fixed-N determinism, the dumbbell cell runner's "ran on 2 domains /
+# barred by" note, and the quick subset of the serial↔sharded differential
+# suite), then the cross-shard zero-alloc budget without race
 # instrumentation, then the CLI path end to end: -shards 1 must run as a
 # group of one (no shard notes), and two -shards 4 runs must note per-shard
 # event counts and agree byte for byte once wall-clock timing lines are
@@ -112,8 +124,9 @@ shard-smoke:
 # Serial↔sharded differential suite, full depth: every registry experiment and
 # every committed example scenario run serial, -shards 1, 2 and 4, three reps
 # each. Byte-identity is asserted where the engine guarantees it (shards=1
-# always; shards>1 for experiments whose only cut is vacuous) and fixed-N
-# determinism everywhere else. The default `go test` run covers a quick subset
+# always; shards>1 for experiments whose specs never set shards) and fixed-N
+# determinism everywhere else — every dumbbell table included, since under
+# -shards each carries the cell runner's note even when no row moves. The default `go test` run covers a quick subset
 # of the same table; this target removes the subset gate.
 shard-diff:
 	PERT_SHARDDIFF=full $(GO) test ./internal/experiments -run 'TestShardDiff' -count=1 -timeout 30m -v

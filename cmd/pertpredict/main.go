@@ -60,6 +60,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
+		// CollectTrace compiles these into a scenario and panics on one that
+		// cannot run.
+		if *dur <= 0 || *flows < 1 || *web < 0 {
+			fmt.Fprintln(stderr, "pertpredict: need -dur > 0, -flows >= 1 and -web >= 0")
+			return 2
+		}
 		c := experiments.Section2Case{Name: "custom", LongFlows: *flows, Web: *web}
 		tr = experiments.CollectTrace(c, 1, bw, buf, sim.Time(*dur), warm)
 	}

@@ -45,6 +45,11 @@ func TestErrorPaths(t *testing.T) {
 	if code := run([]string{"-zzz"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exit = %d", code)
 	}
+	for _, args := range [][]string{{"-dur", "0s"}, {"-flows", "0"}, {"-web", "-1"}} {
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v exit = %d", args, code)
+		}
+	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte("not json"), 0o644)

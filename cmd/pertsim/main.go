@@ -100,16 +100,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if shared.FsckRequested() {
 		return shared.RunFsck(stdout, stderr)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"-loss", *loss}, {"-dup", *dup}, {"-reorder", *reorder}} {
-		if p.v < 0 || p.v >= 1 {
-			fmt.Fprintf(stderr, "pertsim: %s %g outside [0,1)\n", p.name, p.v)
-			return 2
-		}
-	}
-
 	spec := experiments.DumbbellSpec{
 		Seed:         shared.Seed(),
 		Bandwidth:    *bw,
@@ -172,6 +162,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Same restriction: only harness-routed (schema-v2) runs can re-exec
 		// their cell in a worker process.
 		fmt.Fprintln(stderr, "pertsim: -isolate requires a schema-v2 -config (see EXPERIMENTS.md)")
+		return 2
+	}
+	// One rule set for flag and flat-file runs alike (the loader has already
+	// applied it to a file): bad input is a one-line error, never a panic.
+	if err := spec.Validate(experiments.Scheme(*scheme)); err != nil {
+		fmt.Fprintf(stderr, "pertsim: %v\n", err)
 		return 2
 	}
 

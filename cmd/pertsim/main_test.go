@@ -113,6 +113,43 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestBadInputIsAnErrorNotAPanic: every flag and flat-file input the one
+// validator rejects exits non-zero (2 for flags, 1 for a config file) with a
+// single-line message — never a goroutine trace — and -validate agrees.
+func TestBadInputIsAnErrorNotAPanic(t *testing.T) {
+	dir := t.TempDir()
+	v1 := func(name, doc string) string {
+		path := filepath.Join(dir, name+".json")
+		os.WriteFile(path, []byte(doc), 0o644)
+		return path
+	}
+	negFlows := v1("negflows", `{"bandwidth_bps":1e6,"flows":-1,"web_sessions":2,"duration":"5s"}`)
+	zeroRTT := v1("zerortt", `{"bandwidth_bps":1e6,"flows":2,"rtts":["0ms"],"duration":"5s"}`)
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-warm", "100s", "-dur", "60s"}, 2},
+		{[]string{"-flows", "-3"}, 2},
+		{[]string{"-bw", "0"}, 2},
+		{[]string{"-rtt", "0"}, 2},
+		{[]string{"-loss", "1.5"}, 2},
+		{[]string{"-config", negFlows}, 1},
+		{[]string{"-config", negFlows, "-validate"}, 1},
+		{[]string{"-config", zeroRTT}, 1},
+		{[]string{"-config", zeroRTT, "-validate"}, 1},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), tc.args, &out, &errb); code != tc.code {
+			t.Errorf("%v: exit %d, want %d: %s", tc.args, code, tc.code, errb.String())
+		}
+		msg := errb.String()
+		if !strings.HasPrefix(msg, "pertsim: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: want one \"pertsim: ...\" line on stderr, got %q", tc.args, msg)
+		}
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -52,55 +52,12 @@ func LoadScenario(r io.Reader) (DumbbellSpec, Scheme, error) {
 	return c.Spec()
 }
 
-// Spec validates the config and converts it to a runnable spec.
+// Spec converts the config to a runnable spec. The flat schema keeps its own
+// parsing and defaults (measure_from = duration/4, start_window = from/2,
+// one 60 ms RTT, PERT) but has no rules of its own: what it accepts is what
+// DumbbellSpec.Validate — the schema-v2 rule set — accepts.
 func (c ScenarioConfig) Spec() (DumbbellSpec, Scheme, error) {
 	fail := func(err error) (DumbbellSpec, Scheme, error) { return DumbbellSpec{}, "", err }
-	if c.BandwidthBps <= 0 {
-		return fail(fmt.Errorf("experiments: bandwidth_bps must be positive"))
-	}
-	if c.Flows <= 0 && c.WebSessions <= 0 {
-		return fail(fmt.Errorf("experiments: scenario has no traffic"))
-	}
-	dur, err := parseDur(c.Duration, 0)
-	if err != nil || dur <= 0 {
-		return fail(fmt.Errorf("experiments: bad duration %q", c.Duration))
-	}
-	from, err := parseDur(c.MeasureFrom, dur/4)
-	if err != nil || from < 0 || from >= dur {
-		return fail(fmt.Errorf("experiments: bad measure_from %q", c.MeasureFrom))
-	}
-	until, err := parseDur(c.MeasureUntil, dur)
-	if err != nil || until <= from || until > dur {
-		return fail(fmt.Errorf("experiments: bad measure_until %q (window [%v, ?] must end inside the %v run)", c.MeasureUntil, from, dur))
-	}
-	startWin, err := parseDur(c.StartWindow, from/2)
-	if err != nil || startWin < 0 {
-		return fail(fmt.Errorf("experiments: bad start_window %q", c.StartWindow))
-	}
-	target, err := parseDur(c.TargetDelay, 0)
-	if err != nil || target < 0 {
-		return fail(fmt.Errorf("experiments: bad target_delay %q", c.TargetDelay))
-	}
-	jitter, err := parseDur(c.AccessJitter, 0)
-	if err != nil || jitter < 0 {
-		return fail(fmt.Errorf("experiments: bad access_jitter %q", c.AccessJitter))
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"loss_rate", c.LossRate}, {"dup_rate", c.DupRate}, {"reorder_rate", c.ReorderRate}} {
-		if p.v < 0 || p.v >= 1 {
-			return fail(fmt.Errorf("experiments: %s %g outside [0,1)", p.name, p.v))
-		}
-	}
-	reorderExtra, err := parseDur(c.ReorderExtra, 0)
-	if err != nil || reorderExtra < 0 {
-		return fail(fmt.Errorf("experiments: bad reorder_extra %q", c.ReorderExtra))
-	}
-	schedule, err := scenario.ParseSchedule(c.Schedule, dur)
-	if err != nil {
-		return fail(fmt.Errorf("experiments: %w", err))
-	}
 	spec := DumbbellSpec{
 		Seed:         c.Seed,
 		Bandwidth:    c.BandwidthBps,
@@ -108,45 +65,47 @@ func (c ScenarioConfig) Spec() (DumbbellSpec, Scheme, error) {
 		ReverseFlows: c.ReverseFlows,
 		WebSessions:  c.WebSessions,
 		BufferPkts:   c.BufferPkts,
-		Duration:     dur,
-		MeasureFrom:  from,
-		MeasureUntil: until,
-		StartWindow:  startWin,
-		TargetDelay:  target,
-		AccessJitter: jitter,
 		LossRate:     c.LossRate,
 		DupRate:      c.DupRate,
 		ReorderRate:  c.ReorderRate,
-		ReorderExtra: reorderExtra,
-		Schedule:     schedule,
+	}
+	var err error
+	// dur parses a Go duration string ("" = def), keeping the first error.
+	dur := func(field, s string, def sim.Duration) sim.Duration {
+		if s == "" {
+			return def
+		}
+		d, perr := time.ParseDuration(s)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("experiments: bad %s %q: %w", field, s, perr)
+		}
+		return sim.Time(d)
+	}
+	spec.Duration = dur("duration", c.Duration, 0)
+	spec.MeasureFrom = dur("measure_from", c.MeasureFrom, spec.Duration/4)
+	spec.MeasureUntil = dur("measure_until", c.MeasureUntil, spec.Duration)
+	spec.StartWindow = dur("start_window", c.StartWindow, spec.MeasureFrom/2)
+	spec.TargetDelay = dur("target_delay", c.TargetDelay, 0)
+	spec.AccessJitter = dur("access_jitter", c.AccessJitter, 0)
+	spec.ReorderExtra = dur("reorder_extra", c.ReorderExtra, 0)
+	for _, s := range c.RTTs {
+		spec.RTTs = append(spec.RTTs, dur("rtt", s, 0))
+	}
+	if err != nil {
+		return fail(err)
 	}
 	if len(c.RTTs) == 0 {
 		spec.RTTs = []sim.Duration{60 * sim.Millisecond}
 	}
-	for _, s := range c.RTTs {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return fail(fmt.Errorf("experiments: bad rtt %q: %w", s, err))
-		}
-		spec.RTTs = append(spec.RTTs, sim.Time(d))
+	if spec.Schedule, err = scenario.ParseSchedule(c.Schedule, spec.Duration); err != nil {
+		return fail(fmt.Errorf("experiments: %w", err))
 	}
 	scheme := Scheme(c.Scheme)
 	if c.Scheme == "" {
 		scheme = PERT
 	}
-	if !scheme.Known() {
-		return fail(fmt.Errorf("experiments: unknown scheme %q (known: %v)", c.Scheme, scenario.Names()))
+	if err := spec.Validate(scheme); err != nil {
+		return fail(err)
 	}
 	return spec, scheme, nil
-}
-
-func parseDur(s string, def sim.Duration) (sim.Duration, error) {
-	if s == "" {
-		return def, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d), nil
 }

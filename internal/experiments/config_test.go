@@ -84,6 +84,10 @@ func TestLoadScenarioRejectsBadInput(t *testing.T) {
 		"schedule negative capacity":    `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"5s","capacity_bps":-1}]}`,
 		"schedule down and up":          `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"5s","down":true,"up":true}]}`,
 		"schedule bad time":             `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"wat"}]}`,
+		"measure_until zero":            `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","measure_from":"0s","measure_until":"0s"}`,
+		"reverse flows only":            `{"bandwidth_bps":1e6,"reverse_flows":3,"duration":"10s"}`,
+		"negative flows":                `{"bandwidth_bps":1e6,"flows":-1,"web_sessions":2,"duration":"5s"}`,
+		"zero rtt":                      `{"bandwidth_bps":1e6,"flows":2,"rtts":["0ms"],"duration":"5s"}`,
 	}
 	for name, in := range cases {
 		if _, _, err := LoadScenario(strings.NewReader(in)); err == nil {

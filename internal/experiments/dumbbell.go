@@ -51,10 +51,6 @@ type DumbbellSpec struct {
 	// forward bottleneck (down links blackhole traffic).
 	Schedule netem.LinkSchedule
 
-	// NoAudit disables the invariant auditor every dumbbell run otherwise
-	// carries (tests that deliberately corrupt state use it).
-	NoAudit bool
-
 	// Instrument, when set, is invoked with the built topology before
 	// traffic starts — the hook for attaching tracers or custom samplers.
 	Instrument func(d *topo.Dumbbell)
@@ -118,6 +114,10 @@ func (spec DumbbellSpec) shardBar(scheme string) string {
 	return ""
 }
 
+// customCC is the scheme label of a RunDumbbellWith run: not a registered
+// name, which is what bars it from the bottleneck cut.
+const customCC = "custom-cc"
+
 // RunDumbbell executes the scenario under one scheme and returns the
 // measured row.
 func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
@@ -130,7 +130,24 @@ func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
 // factory over DropTail bottlenecks — the entry point for PERT ablation
 // studies (custom response curves, signal weights, rate limits).
 func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) DumbbellResult {
-	return runDumbbell(spec, "custom-cc", cc)
+	return runDumbbell(spec, customCC, cc)
+}
+
+// Validate reports whether the spec can run under scheme. DumbbellSpec has no
+// rules of its own beyond what its runner indexes and measures (a first RTT,
+// an explicit window end, traffic on the measured forward direction): the
+// rest is scenario.Spec.Validate on the translated spec, so the flag path,
+// the flat v1 file schema and schema v2 share one rule set.
+func (spec DumbbellSpec) Validate(scheme Scheme) error {
+	switch {
+	case len(spec.RTTs) == 0:
+		return fmt.Errorf("experiments: scenario needs at least one rtt")
+	case spec.MeasureUntil == 0:
+		return fmt.Errorf("experiments: measure_until must be set (0 is not an alias for the duration here)")
+	case spec.Flows <= 0 && spec.WebSessions <= 0:
+		return fmt.Errorf("experiments: scenario has no traffic on the measured forward direction")
+	}
+	return spec.scenarioSpec(string(scheme), false).Validate()
 }
 
 // scenarioSpec translates the legacy flat DumbbellSpec into a declarative
@@ -138,56 +155,12 @@ func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) Dumbbel
 // the compiler's derivation rules) because the historical formulas differ:
 // the buffer floor is twice the *forward* flow count and hosts count web
 // sessions, both of which the committed tables depend on.
-func (spec DumbbellSpec) scenarioSpec() scenario.Spec {
-	hosts := spec.Flows + spec.ReverseFlows + spec.WebSessions
-	if hosts < 1 {
-		hosts = 1
-	}
-	// Hosts are shared round-robin; cap the node count so huge sweeps
-	// (1000 web sessions) do not build 2000+ nodes needlessly.
-	if hosts > 256 {
-		hosts = 256
-	}
-	return scenario.Spec{
-		Seed: spec.Seed,
-		Topology: scenario.TopologySpec{
-			Template:     scenario.DumbbellTemplate,
-			Bandwidth:    spec.Bandwidth,
-			Delay:        spec.RTTs[0] / 3,
-			Hosts:        hosts,
-			RTTs:         spec.RTTs,
-			BufferPkts:   spec.BufferPkts,
-			AccessJitter: spec.AccessJitter,
-		},
-		Links: []scenario.LinkRule{{
-			Link:         "forward",
-			LossRate:     spec.LossRate,
-			DupRate:      spec.DupRate,
-			ReorderRate:  spec.ReorderRate,
-			ReorderExtra: spec.ReorderExtra,
-			Schedule:     spec.Schedule,
-		}},
-		Groups: []scenario.FlowGroupSpec{
-			{Label: "fwd", Count: spec.Flows, From: "left", To: "right", StartWindow: spec.StartWindow},
-			{Label: "rev", Count: spec.ReverseFlows, From: "right", To: "left", StartWindow: spec.StartWindow},
-			{Label: "web", Count: spec.WebSessions, From: "left", To: "right", Traffic: scenario.Web, StartWindow: spec.StartWindow},
-		},
-		Duration:     spec.Duration,
-		MeasureFrom:  spec.MeasureFrom,
-		MeasureUntil: spec.MeasureUntil,
-		TargetDelay:  spec.TargetDelay,
-	}
-}
-
-// runDumbbell is the shared scenario body, expressed on the scenario compiler
-// and run by the one executor. Construction order is a bit-identity contract
-// with the committed tables: compile (topology, impairments, schedule) and
-// partition, then observers in the historical order (metrics registry,
-// auditor, Instrument hook, delay monitor), then traffic.
 //
-// cc nil runs the registered scheme; otherwise the long flows and the web
-// transfers run cc over DropTail bottlenecks and scheme only labels the run.
-func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionControl) DumbbellResult {
+// Naming the scheme lets the compiler resolve queue, controllers and ECN from
+// the registry; the environment it derives from the spec (capacity, fwd+rev
+// flow count, largest RTT, target delay) is the historical one. A custom
+// controller runs over DropTail and its groups carry no scheme.
+func (spec DumbbellSpec) scenarioSpec(scheme string, custom bool) scenario.Spec {
 	if spec.BufferPkts == 0 {
 		// The paper's rule: buffer = BDP with a floor of twice the number
 		// of flows.
@@ -201,22 +174,65 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 			spec.BufferPkts = min
 		}
 	}
-
-	// Naming the scheme lets the compiler resolve queue, controllers and ECN
-	// from the registry; the environment it derives from the spec (capacity,
-	// fwd+rev flow count, largest RTT, target delay) is the historical one.
-	sspec := spec.scenarioSpec()
-	sspec.Topology.AQM = string(SackDroptail) // what a custom controller runs over
-	if cc == nil {
-		sspec.Topology.AQM = scheme
-		for i := range sspec.Groups {
-			sspec.Groups[i].Scheme = scheme
-		}
+	hosts := spec.Flows + spec.ReverseFlows + spec.WebSessions
+	if hosts < 1 {
+		hosts = 1
+	}
+	// Hosts are shared round-robin; cap the node count so huge sweeps
+	// (1000 web sessions) do not build 2000+ nodes needlessly.
+	if hosts > 256 {
+		hosts = 256
+	}
+	aqm, groupScheme := scheme, scheme
+	if custom {
+		aqm, groupScheme = string(SackDroptail), ""
+	}
+	sspec := scenario.Spec{
+		Seed: spec.Seed,
+		Topology: scenario.TopologySpec{
+			Template:     scenario.DumbbellTemplate,
+			Bandwidth:    spec.Bandwidth,
+			Delay:        spec.RTTs[0] / 3,
+			Hosts:        hosts,
+			RTTs:         spec.RTTs,
+			BufferPkts:   spec.BufferPkts,
+			AccessJitter: spec.AccessJitter,
+			AQM:          aqm,
+		},
+		Links: []scenario.LinkRule{{
+			Link:         "forward",
+			LossRate:     spec.LossRate,
+			DupRate:      spec.DupRate,
+			ReorderRate:  spec.ReorderRate,
+			ReorderExtra: spec.ReorderExtra,
+			Schedule:     spec.Schedule,
+		}},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "fwd", Scheme: groupScheme, Count: spec.Flows, From: "left", To: "right", StartWindow: spec.StartWindow},
+			{Label: "rev", Scheme: groupScheme, Count: spec.ReverseFlows, From: "right", To: "left", StartWindow: spec.StartWindow},
+			{Label: "web", Scheme: groupScheme, Count: spec.WebSessions, From: "left", To: "right", Traffic: scenario.Web, StartWindow: spec.StartWindow},
+		},
+		Duration:     spec.Duration,
+		MeasureFrom:  spec.MeasureFrom,
+		MeasureUntil: spec.MeasureUntil,
+		TargetDelay:  spec.TargetDelay,
 	}
 	if spec.shardBar(scheme) == "" {
 		sspec.Shards = spec.Shards
 	}
-	x := mustStart(sspec)
+	return sspec
+}
+
+// runDumbbell is the shared scenario body, expressed on the scenario compiler
+// and run by the one executor. Construction order is a bit-identity contract
+// with the committed tables: compile (topology, impairments, schedule) and
+// partition, then observers in the historical order (metrics registry,
+// auditor, Instrument hook, delay monitor), then traffic.
+//
+// cc nil runs the registered scheme; otherwise the long flows and the web
+// transfers run cc over DropTail bottlenecks and scheme only labels the run.
+func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionControl) DumbbellResult {
+	x := mustStart(spec.scenarioSpec(scheme, cc != nil))
 	d := x.Dumbbell()
 
 	scenarioLine := fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d loss=%g dup=%g reorder=%g changes=%d",
@@ -228,15 +244,13 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 	// flight-recorder dump.
 	reg := spec.Metrics.newRegistry(x.Eng, scenarioLine)
 
-	if !spec.NoAudit {
-		// The bottleneck's trailing trace is kept for the repro bundle; the
-		// reverse bottleneck is bounded but not traced.
-		cfg := netem.AuditConfig{Scenario: scenarioLine}
-		if fl := reg.Flight(); fl != nil {
-			cfg.MetricsDump = fl.Dump
-		}
-		x.audit(cfg, d.Reverse)
+	// The bottleneck's trailing trace is kept for the repro bundle; the
+	// reverse bottleneck is bounded but not traced.
+	cfg := netem.AuditConfig{Scenario: scenarioLine}
+	if fl := reg.Flight(); fl != nil {
+		cfg.MetricsDump = fl.Dump
 	}
+	x.audit(cfg, d.Reverse)
 
 	if spec.Instrument != nil {
 		spec.Instrument(d)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/stats"
 	"pert/internal/tcp"
@@ -66,16 +67,14 @@ func legacyRunDumbbell(eng *sim.Engine, net *netem.Network, spec DumbbellSpec, s
 
 	reg := spec.Metrics.newRegistry(eng, scenario)
 
-	if !spec.NoAudit {
-		cfg := netem.AuditConfig{Seed: spec.Seed, Scenario: scenario}
-		if fl := reg.Flight(); fl != nil {
-			cfg.MetricsDump = fl.Dump
-		}
-		aud := netem.StartAudit(net, cfg)
-		aud.Watch(d.Forward)
-		aud.BoundQueue(d.Forward, d.BufferPkts)
-		aud.BoundQueue(d.Reverse, d.BufferPkts)
+	cfg := netem.AuditConfig{Seed: spec.Seed, Scenario: scenario}
+	if fl := reg.Flight(); fl != nil {
+		cfg.MetricsDump = fl.Dump
 	}
+	aud := netem.StartAudit(net, cfg)
+	aud.Watch(d.Forward)
+	aud.BoundQueue(d.Forward, d.BufferPkts)
+	aud.BoundQueue(d.Reverse, d.BufferPkts)
 
 	if spec.Instrument != nil {
 		spec.Instrument(d)
@@ -152,13 +151,20 @@ func legacyRunDumbbellScheme(spec DumbbellSpec, scheme Scheme) DumbbellResult {
 			maxRTT = r
 		}
 	}
-	env := schemeEnv{
-		capacityPPS: spec.Bandwidth / (8 * 1040),
-		nFlows:      spec.Flows + spec.ReverseFlows,
-		maxRTT:      maxRTT,
-		targetDelay: spec.TargetDelay,
+	env := scenario.Env{
+		CapacityPPS: spec.Bandwidth / (8 * 1040),
+		NFlows:      spec.Flows + spec.ReverseFlows,
+		MaxRTT:      maxRTT,
+		TargetDelay: spec.TargetDelay,
 	}
-	res := legacyRunDumbbell(eng, net, spec, string(scheme), scheme.queueFor(net, env), scheme.ccFor(net, env), scheme.ecn(), webCC(scheme, scheme.ccFor(net, env)))
+	// The paper's background web traffic is standard TCP except under schemes
+	// every end host runs (the registry's ProactiveWeb flag).
+	def := scenario.MustLookup(string(scheme))
+	webccf := func() tcp.CongestionControl { return tcp.Reno{} }
+	if def.ProactiveWeb {
+		webccf = def.CC(net, env)
+	}
+	res := legacyRunDumbbell(eng, net, spec, string(scheme), def.Queue(net, env), def.CC(net, env), def.ECN, webccf)
 	res.Scheme = scheme
 	return res
 }

@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
-	"pert/internal/tcp"
-	"pert/internal/topo"
 	"pert/internal/trafficgen"
 )
 
@@ -21,9 +20,6 @@ func Fig12(ctx context.Context, scale Scale, scheme Scheme) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	if !scheme.Known() {
-		return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
-	}
 	cohortSize := 25
 	phase := seconds(100) // paper: +25 flows every 100 s, then -25 every 100 s
 	bw := 150e6
@@ -32,37 +28,41 @@ func Fig12(ctx context.Context, scale Scale, scheme Scheme) (*Table, error) {
 	}
 	nCohorts := 4 // arrivals for the first half, departures for the second
 
-	eng := sim.NewEngine(8000)
-	net := netem.NewNetwork(eng)
-	env := schemeEnv{capacityPPS: bw / (8 * 1040), nFlows: cohortSize * nCohorts, maxRTT: ms(60)}
-	d := topo.NewDumbbell(net, topo.DumbbellConfig{
-		Bandwidth: bw,
-		Delay:     ms(20),
-		Hosts:     64,
-		RTTs:      []sim.Duration{ms(60)},
-		Queue:     scheme.queueFor(net, env),
-	})
-
-	ids := trafficgen.NewIDs()
-	ccf := scheme.ccFor(net, env)
-
-	cohorts := make([][]*tcp.Flow, nCohorts)
-	for c := 0; c < nCohorts; c++ {
-		cohorts[c] = trafficgen.FTPFleet(net, ids, d.Left, d.Right, cohortSize, trafficgen.FTPConfig{
-			CC:      ccf,
-			Conn:    tcp.Config{ECN: scheme.ecn()},
-			StartAt: sim.Time(c) * phase,
-			// Stagger within 5% of the phase to avoid a synchronized blast.
-			StartWindow: phase / 20,
-		})
+	// Cohort c arrives at c*phase, staggered within 5% of the phase to avoid
+	// a synchronized blast.
+	groups := make([]scenario.FlowGroupSpec, nCohorts)
+	for c := range groups {
+		groups[c] = scenario.FlowGroupSpec{
+			Label:  fmt.Sprintf("cohort%d", c+1),
+			Scheme: string(scheme), Count: cohortSize, From: "left", To: "right",
+			StartAt: sim.Time(c) * phase, StartWindow: phase / 20,
+		}
 	}
+	x, err := start(scenario.Spec{
+		Name: "fig12",
+		Seed: 8000,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: bw,
+			Delay:     ms(20),
+			Hosts:     64,
+			RTTs:      []sim.Duration{ms(60)},
+			AQM:       string(scheme),
+		},
+		Groups:   groups,
+		Duration: sim.Time(2*nCohorts) * phase,
+	})
+	if err != nil {
+		return nil, err
+	}
+	x.audit(netem.AuditConfig{Scenario: "fig12 scheme=" + string(scheme)})
+	x.Spawn()
 	// Departures: cohort c leaves at (2*nCohorts - 1 - c) * phase, i.e.
 	// first-in last-out as in the paper (flows leave 25 at a time).
 	for c := 0; c < nCohorts; c++ {
-		c := c
-		leave := sim.Time(2*nCohorts-1-c) * phase
-		eng.At(leave, func() {
-			for _, f := range cohorts[c] {
+		flows := x.Groups[c].Flows
+		x.Eng.At(sim.Time(2*nCohorts-1-c)*phase, func() {
+			for _, f := range flows {
 				f.Close()
 			}
 		})
@@ -80,25 +80,25 @@ func Fig12(ctx context.Context, scale Scale, scheme Scheme) (*Table, error) {
 
 	prev := make([][]uint64, nCohorts)
 	for c := range prev {
-		prev[c] = trafficgen.GoodputSnapshot(cohorts[c])
+		prev[c] = trafficgen.GoodputSnapshot(x.Groups[c].Flows)
 	}
 	for step := 0; step < 2*nCohorts; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		eng.Run(sim.Time(step+1) * phase)
+		x.g.Run(sim.Time(step+1) * phase)
 		active := 0
 		row := []string{
 			fmt.Sprintf("%d-%ds", step*int(phase/sim.Second), (step+1)*int(phase/sim.Second)),
 			"",
 		}
 		for c := 0; c < nCohorts; c++ {
-			g := trafficgen.Goodputs(cohorts[c], prev[c])
-			prev[c] = trafficgen.GoodputSnapshot(cohorts[c])
+			flows := x.Groups[c].Flows
 			var sum float64
-			for _, x := range g {
-				sum += x
+			for _, b := range trafficgen.Goodputs(flows, prev[c]) {
+				sum += b
 			}
+			prev[c] = trafficgen.GoodputSnapshot(flows)
 			mbps := sum * 8 / phase.Seconds() / 1e6
 			if mbps > 0.05 {
 				active += cohortSize
@@ -107,6 +107,9 @@ func Fig12(ctx context.Context, scale Scale, scheme Scheme) (*Table, error) {
 		}
 		row[1] = fmt.Sprint(active)
 		t.AddRow(row...)
+	}
+	if err := x.finish(); err != nil {
+		return nil, fmt.Errorf("fig12 scheme=%s %w", scheme, err)
 	}
 	t.Notes = append(t.Notes, "cohort shares should converge to bandwidth/active_cohorts within each interval")
 	return t, nil

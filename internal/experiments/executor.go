@@ -69,9 +69,7 @@ func (x *execution) audit(cfg netem.AuditConfig, bounded ...*netem.Link) {
 // finish stops the auditor and checks the whole-network ledger — the one
 // check a partitioned run cannot make while its shards are running.
 func (x *execution) finish() error {
-	if x.aud != nil {
-		x.aud.Stop()
-	}
+	x.aud.Stop() // every run carries the auditor; a nil one is a bug in the caller
 	if err := x.Net.Audit(); err != nil {
 		return fmt.Errorf("shards=%d: %w", x.Net.Domains(), err)
 	}

@@ -7,11 +7,10 @@ import (
 
 	"pert/internal/fluid"
 	"pert/internal/netem"
-	"pert/internal/queue"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/tcp"
 	"pert/internal/topo"
-	"pert/internal/trafficgen"
 )
 
 // ExtAQM is an extension experiment beyond the paper: the full AQM
@@ -24,7 +23,6 @@ func ExtAQM(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
 	bwMbps, flows, webs := 30.0, 12, 25
 	if scale == Paper {
 		bwMbps, flows, webs = 150, 50, 100
@@ -33,6 +31,7 @@ func ExtAQM(ctx context.Context, scale Scale) (*Table, error) {
 		ID:     "ext-aqm",
 		Title:  fmt.Sprintf("Extension: end-host AQM emulations vs router AQMs (%g Mbps, %d flows + %d web)", bwMbps, flows, webs),
 		Header: []string{"scheme", "kind", "avg_queue_pkts", "delay_p99_ms", "drop_rate", "mark_rate", "utilization", "jain"},
+		Notes:  []string{"extension beyond the paper: REM and AVQ complete its cited AQM list"},
 	}
 	rows := []struct {
 		s    Scheme
@@ -47,38 +46,15 @@ func ExtAQM(ctx context.Context, scale Scale) (*Table, error) {
 		{SackAVQ, "router AVQ"},
 		{SackDroptail, "no AQM"},
 	}
-	mcfg, metricsOn := MetricsFrom(ctx)
+	cells := make([]cell, len(rows))
 	for i, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		spec := DumbbellSpec{
-			Seed:      9000 + int64(i),
-			Bandwidth: bwMbps * 1e6,
-			RTTs:      []sim.Duration{ms(60)},
-			Flows:     flows, WebSessions: webs,
-			Duration: dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			Shards: ShardsFrom(ctx, 0),
-		}
-		var closeSeries func() error
-		if metricsOn {
-			ms, closeFn, err := mcfg.open("ext-aqm", string(row.s))
-			if err != nil {
-				return nil, err
-			}
-			spec.Metrics, closeSeries = ms, closeFn
-		}
-		r := RunDumbbell(spec, row.s)
-		if closeSeries != nil {
-			if err := closeSeries(); err != nil {
-				return nil, err
-			}
-		}
-		t.AddRow(string(row.s), row.kind, f2(r.AvgQueue), f2(r.DelayP99*1000),
-			sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization), f3(r.Jain))
+		cells[i] = cell{name: string(row.s), spec: scale.dumbbell(9000+int64(i), bwMbps, flows)}
+		cells[i].spec.WebSessions = webs
 	}
-	t.Notes = append(t.Notes, "extension beyond the paper: REM and AVQ complete its cited AQM list")
-	return t, nil
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].name, rows[i].kind, f2(r.AvgQueue), f2(r.DelayP99 * 1000),
+			sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization), f3(r.Jain)}
+	})
 }
 
 // ExtJitter probes the robustness question behind the paper's Section 2:
@@ -91,7 +67,6 @@ func ExtJitter(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
 	bwMbps, flows := 30.0, 12
 	if scale == Paper {
 		bwMbps, flows = 150, 50
@@ -100,40 +75,29 @@ func ExtJitter(ctx context.Context, scale Scale) (*Table, error) {
 		ID:     "ext-jitter",
 		Title:  fmt.Sprintf("Extension: robustness to access-link delay jitter (%g Mbps, %d flows)", bwMbps, flows),
 		Header: []string{"jitter_ms", "scheme", "avg_queue_pkts", "drop_rate", "utilization", "jain"},
+		Notes: []string{
+			"jitter is uniform per packet on all four access links of each path (order-preserving)",
+			"fixed 5/10 ms thresholds starve once noise reaches their scale — the [21]/[26] critique;",
+			"thresholds above the noise floor restore PERT's behaviour at the cost of a longer queue"},
 	}
+	// The remedy the paper's future work points at: thresholds scaled above
+	// the noise floor (here 4x: 20/40 ms).
+	wide := DefaultVariant("wide-thresh")
+	wide.Curve.Tmin, wide.Curve.Tmax = ms(20), ms(40)
+	var cells []cell
 	for i, jMs := range []float64{0, 2, 5, 10} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		spec := DumbbellSpec{
-			Seed:      9200 + int64(i),
-			Bandwidth: bwMbps * 1e6,
-			RTTs:      []sim.Duration{ms(60)},
-			Flows:     flows,
-			Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			AccessJitter: ms(jMs),
-			// The RunDumbbellWith row below ignores Shards (custom
-			// controllers always run serial); the registered schemes shard.
-			Shards: ShardsFrom(ctx, 0),
-		}
-		for _, s := range []Scheme{PERT, SackDroptail} {
-			r := RunDumbbell(spec, s)
-			t.AddRow(fmt.Sprintf("%g", jMs), string(s), f2(r.AvgQueue),
-				sci(r.DropRate), f3(r.Utilization), f3(r.Jain))
-		}
-		// The remedy the paper's future work points at: thresholds scaled
-		// above the noise floor (here 4x: 20/40 ms).
-		wide := DefaultVariant("wide-thresh")
-		wide.Curve.Tmin, wide.Curve.Tmax = ms(20), ms(40)
-		rw := RunDumbbellWith(spec, wide.CC())
-		t.AddRow(fmt.Sprintf("%g", jMs), "PERT[20/40ms]", f2(rw.AvgQueue),
-			sci(rw.DropRate), f3(rw.Utilization), f3(rw.Jain))
+		spec := scale.dumbbell(9200+int64(i), bwMbps, flows)
+		spec.AccessJitter = ms(jMs)
+		label := fmt.Sprintf("%g", jMs)
+		cells = append(cells,
+			cell{label: label, name: string(PERT), spec: spec},
+			cell{label: label, name: string(SackDroptail), spec: spec},
+			cell{label: label, name: "PERT[20/40ms]", cc: wide.CC(), spec: spec})
 	}
-	t.Notes = append(t.Notes,
-		"jitter is uniform per packet on all four access links of each path (order-preserving)",
-		"fixed 5/10 ms thresholds starve once noise reaches their scale — the [21]/[26] critique;",
-		"thresholds above the noise floor restore PERT's behaviour at the cost of a longer queue")
-	return t, nil
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].label, cells[i].name, f2(r.AvgQueue),
+			sci(r.DropRate), f3(r.Utilization), f3(r.Jain)}
+	})
 }
 
 // ExtDelayCC compares the full lineage of delay-based congestion avoidance
@@ -146,7 +110,6 @@ func ExtDelayCC(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
 	bwMbps, flows := 30.0, 12
 	if scale == Paper {
 		bwMbps, flows = 150, 50
@@ -155,15 +118,7 @@ func ExtDelayCC(ctx context.Context, scale Scale) (*Table, error) {
 		ID:     "ext-delaycc",
 		Title:  fmt.Sprintf("Extension: delay-based congestion-avoidance lineage (%g Mbps, %d flows)", bwMbps, flows),
 		Header: []string{"scheme", "year", "avg_queue_pkts", "delay_p99_ms", "drop_rate", "utilization", "jain"},
-	}
-	spec := func(seed int64) DumbbellSpec {
-		return DumbbellSpec{
-			Seed:      seed,
-			Bandwidth: bwMbps * 1e6,
-			RTTs:      []sim.Duration{ms(60)},
-			Flows:     flows,
-			Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-		}
+		Notes:  []string{"all schemes over plain DropTail; homogeneous populations (no co-existence)"},
 	}
 	rows := []struct {
 		name string
@@ -176,16 +131,14 @@ func ExtDelayCC(ctx context.Context, scale Scale) (*Table, error) {
 		{"PERT", "2007", func() tcp.CongestionControl { return tcp.NewPERTRed() }},
 		{"Sack (loss-based)", "-", func() tcp.CongestionControl { return tcp.Reno{} }},
 	}
+	cells := make([]cell, len(rows))
 	for i, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := RunDumbbellWith(spec(9300+int64(i)), row.cc)
-		t.AddRow(row.name, row.year, f2(r.AvgQueue), f2(r.DelayP99*1000),
-			sci(r.DropRate), f3(r.Utilization), f3(r.Jain))
+		cells[i] = cell{name: row.name, cc: row.cc, spec: scale.dumbbell(9300+int64(i), bwMbps, flows)}
 	}
-	t.Notes = append(t.Notes, "all schemes over plain DropTail; homogeneous populations (no co-existence)")
-	return t, nil
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{rows[i].name, rows[i].year, f2(r.AvgQueue), f2(r.DelayP99 * 1000),
+			sci(r.DropRate), f3(r.Utilization), f3(r.Jain)}
+	})
 }
 
 // ExtHighSpeed tests the paper's footnote 1: PERT's early response is argued
@@ -196,41 +149,30 @@ func ExtHighSpeed(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
-	bw, rtt, flows := 100e6, ms(100), 4
+	mbps := 100.0
 	if scale == Paper {
-		bw = 622e6 // OC-12, the classic HSTCP setting
+		mbps = 622 // OC-12, the classic HSTCP setting
 	}
 	t := &Table{
 		ID:     "ext-highspeed",
-		Title:  fmt.Sprintf("Extension: PERT over aggressive probing (footnote 1; %g Mbps x %v)", bw/1e6, "100ms"),
+		Title:  fmt.Sprintf("Extension: PERT over aggressive probing (footnote 1; %g Mbps x 100ms)", mbps),
 		Header: []string{"scheme", "avg_queue_pkts", "delay_p99_ms", "drop_rate", "utilization", "jain"},
+		Notes:  []string{"footnote 1: the early-response argument holds for any loss-based probing"},
 	}
-	rows := []struct {
-		name string
-		cc   func() tcp.CongestionControl
-	}{
-		{"HSTCP", func() tcp.CongestionControl { return tcp.NewHSTCP() }},
-		{"PERT over HSTCP", func() tcp.CongestionControl { return &tcp.PERT{Base: tcp.NewHSTCP()} }},
-		{"Reno", func() tcp.CongestionControl { return tcp.Reno{} }},
-		{"PERT over Reno", func() tcp.CongestionControl { return tcp.NewPERTRed() }},
+	cells := []cell{
+		{name: "HSTCP", cc: func() tcp.CongestionControl { return tcp.NewHSTCP() }},
+		{name: "PERT over HSTCP", cc: func() tcp.CongestionControl { return &tcp.PERT{Base: tcp.NewHSTCP()} }},
+		{name: "Reno", cc: func() tcp.CongestionControl { return tcp.Reno{} }},
+		{name: "PERT over Reno", cc: func() tcp.CongestionControl { return tcp.NewPERTRed() }},
 	}
-	for i, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := RunDumbbellWith(DumbbellSpec{
-			Seed:      9400 + int64(i),
-			Bandwidth: bw,
-			RTTs:      []sim.Duration{rtt},
-			Flows:     flows,
-			Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-		}, row.cc)
-		t.AddRow(row.name, f2(r.AvgQueue), f2(r.DelayP99*1000), sci(r.DropRate),
-			f3(r.Utilization), f3(r.Jain))
+	for i := range cells {
+		cells[i].spec = scale.dumbbell(9400+int64(i), mbps, 4)
+		cells[i].spec.RTTs = []sim.Duration{ms(100)}
 	}
-	t.Notes = append(t.Notes, "footnote 1: the early-response argument holds for any loss-based probing")
-	return t, nil
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].name, f2(r.AvgQueue), f2(r.DelayP99 * 1000), sci(r.DropRate),
+			f3(r.Utilization), f3(r.Jain)}
+	})
 }
 
 // ExtValidation cross-validates the packet-level simulator against the
@@ -260,34 +202,43 @@ func ExtValidation(ctx context.Context, scale Scale) (*Table, error) {
 		rtt := 60 * sim.Millisecond
 		pps := bw / (8 * 1040)
 
-		eng := sim.NewEngine(9100 + int64(n))
-		net := netem.NewNetwork(eng)
-		d := topo.NewDumbbell(net, topo.DumbbellConfig{
-			Bandwidth: bw, Delay: rtt / 3, Hosts: n, RTTs: []sim.Duration{rtt},
-			BufferPkts: 4 * topo.BDPPackets(bw, rtt, 1040), // deep buffer: losses negligible
-			Queue: func(limit int, _ float64) netem.Discipline {
-				return queue.NewDropTail(limit)
+		scen := fmt.Sprintf("ext-validation flows=%d", n)
+		x, err := start(scenario.Spec{
+			Name: "ext-validation",
+			Seed: 9100 + int64(n),
+			Topology: scenario.TopologySpec{
+				Template:   scenario.DumbbellTemplate,
+				Bandwidth:  bw,
+				Hosts:      n,
+				RTTs:       []sim.Duration{rtt},
+				BufferPkts: 4 * topo.BDPPackets(bw, rtt, 1040), // deep buffer: losses negligible
 			},
+			Groups: []scenario.FlowGroupSpec{
+				{Scheme: string(PERT), Count: n, From: "left", To: "right", StartWindow: seconds(2)},
+			},
+			Duration: dur, MeasureFrom: measureFrom,
 		})
-		ids := trafficgen.NewIDs()
-		var flows []*tcp.Flow
-		for i := 0; i < n; i++ {
-			f := tcp.NewFlow(net, d.Left[i], d.Right[i], ids.Next(), tcp.NewPERTRed(), tcp.Config{})
-			f.Start(trafficgen.Uniform(eng.Rand(), seconds(2)))
-			flows = append(flows, f)
+		if err != nil {
+			return nil, err
 		}
+		x.audit(netem.AuditConfig{Scenario: scen})
+		x.Spawn()
+		flows, forward := x.Groups[0].Flows, x.Dumbbell().Forward
 
-		eng.Run(sim.Time(measureFrom))
+		x.g.Run(measureFrom)
 		var wSum, tqSum float64
 		var samples int
-		eng.Every(eng.Now(), 50*sim.Millisecond, func(sim.Time) {
+		x.Eng.Every(x.Eng.Now(), 50*sim.Millisecond, func(sim.Time) {
 			for _, f := range flows {
 				wSum += f.Conn.Cwnd()
 			}
-			tqSum += float64(d.Forward.Queue.Len()) / pps // seconds of queueing
+			tqSum += float64(forward.Queue.Len()) / pps // seconds of queueing
 			samples++
 		})
-		eng.Run(sim.Time(dur))
+		x.g.Run(dur)
+		if err := x.finish(); err != nil {
+			return nil, fmt.Errorf("%s %w", scen, err)
+		}
 
 		wSim := wSum / float64(samples) / float64(n)
 		tqSim := tqSum / float64(samples)

@@ -22,7 +22,6 @@ func ExtLossy(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
 	bwMbps, flows := 30.0, 12
 	if scale == Paper {
 		bwMbps, flows = 150, 50
@@ -32,30 +31,23 @@ func ExtLossy(ctx context.Context, scale Scale) (*Table, error) {
 		Title:  fmt.Sprintf("Extension: robustness to non-congestive random loss (%g Mbps, %d flows)", bwMbps, flows),
 		XLabel: "loss_pct",
 		Header: []string{"loss_pct", "scheme", "avg_queue_pkts", "queue_drop_rate", "retrans_overhead", "utilization", "jain"},
+		Notes: []string{
+			"wire loss is injected on the forward bottleneck after transmission (capacity is consumed)",
+			"queue_drop_rate counts only congestive (queue) drops, not the injected wire loss",
+			"all schemes pay goodput for random loss; the delay-based queue advantage should survive it"},
 	}
+	var cells []cell
 	for i, loss := range []float64{0, 0.005, 0.01, 0.02, 0.05} {
 		for _, s := range []Scheme{PERT, SackDroptail, SackRED} {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r := RunDumbbell(DumbbellSpec{
-				Seed:      9500 + int64(i),
-				Bandwidth: bwMbps * 1e6,
-				RTTs:      []sim.Duration{ms(60)},
-				Flows:     flows,
-				Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-				LossRate: loss,
-				Shards:   ShardsFrom(ctx, 0),
-			}, s)
-			t.AddRow(fmt.Sprintf("%g", loss*100), string(s), f2(r.AvgQueue),
-				sci(r.DropRate), sci(r.RetransOverhead), f3(r.Utilization), f3(r.Jain))
+			c := cell{label: fmt.Sprintf("%g", loss*100), name: string(s), spec: scale.dumbbell(9500+int64(i), bwMbps, flows)}
+			c.spec.LossRate = loss
+			cells = append(cells, c)
 		}
 	}
-	t.Notes = append(t.Notes,
-		"wire loss is injected on the forward bottleneck after transmission (capacity is consumed)",
-		"queue_drop_rate counts only congestive (queue) drops, not the injected wire loss",
-		"all schemes pay goodput for random loss; the delay-based queue advantage should survive it")
-	return t, nil
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].label, cells[i].name, f2(r.AvgQueue),
+			sci(r.DropRate), sci(r.RetransOverhead), f3(r.Utilization), f3(r.Jain)}
+	})
 }
 
 // extFlapPhases returns the per-phase schedule of the ext-flap experiment:

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/stats"
-	"pert/internal/tcp"
-	"pert/internal/topo"
-	"pert/internal/trafficgen"
 )
 
 // ExtFCT measures what the paper's queue-length panels imply for users: web
@@ -23,7 +21,7 @@ func ExtFCT(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
+	_, from, until, sw := scale.window()
 	bwMbps, flows, webs := 30.0, 10, 60
 	if scale == Paper {
 		bwMbps, flows, webs = 150, 50, 300
@@ -38,7 +36,7 @@ func ExtFCT(ctx context.Context, scale Scale) (*Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := runFCT(9600+int64(i), s, bwMbps*1e6, flows, webs, dur, from, until, sw)
+		r := runFCT(9600+int64(i), s, bwMbps*1e6, flows, webs, from, until, sw)
 		t.AddRow(string(s), f2(r.smallP50*1000), f2(r.smallP95*1000),
 			f2(r.largeP50*1000), fmt.Sprint(r.objects), f2(r.avgQueue), f3(r.util))
 	}
@@ -55,56 +53,57 @@ type fctResult struct {
 	avgQueue, util     float64
 }
 
-func runFCT(seed int64, scheme Scheme, bw float64, flows, webs int, dur, from, until, sw sim.Duration) fctResult {
-	eng := sim.NewEngine(seed)
-	net := netem.NewNetwork(eng)
-	env := schemeEnv{capacityPPS: bw / (8 * 1040), nFlows: flows, maxRTT: 60 * sim.Millisecond}
-	d := topo.NewDumbbell(net, topo.DumbbellConfig{
-		Bandwidth: bw,
-		Delay:     20 * sim.Millisecond,
-		Hosts:     64,
-		RTTs:      []sim.Duration{60 * sim.Millisecond},
-		Queue:     scheme.queueFor(net, env),
+// runFCT runs one scheme's long flows plus web sessions and samples the
+// completion time of every object finishing inside the window. Nothing is read
+// after the window closes, so the run ends there.
+func runFCT(seed int64, scheme Scheme, bw float64, flows, webs int, from, until, sw sim.Duration) fctResult {
+	x := mustStart(scenario.Spec{
+		Name: "ext-fct",
+		Seed: seed,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: bw,
+			Delay:     20 * sim.Millisecond,
+			Hosts:     64,
+			RTTs:      []sim.Duration{60 * sim.Millisecond},
+			AQM:       string(scheme),
+		},
+		Groups: []scenario.FlowGroupSpec{
+			{Scheme: string(scheme), Count: flows, From: "left", To: "right", StartWindow: sw},
+			{Scheme: string(scheme), Count: webs, From: "left", To: "right", Traffic: scenario.Web, StartWindow: sw},
+		},
+		Duration: until, MeasureFrom: from,
 	})
-	ids := trafficgen.NewIDs()
-	ccf := scheme.ccFor(net, env)
-	trafficgen.FTPFleet(net, ids, d.Left, d.Right, flows, trafficgen.FTPConfig{
-		CC: ccf, Conn: tcp.Config{ECN: scheme.ecn()}, StartWindow: sw,
-	})
+	scen := fmt.Sprintf("ext-fct scheme=%s bw=%g flows=%d web=%d", scheme, bw, flows, webs)
+	x.audit(netem.AuditConfig{Scenario: scen})
 
 	small := stats.NewReservoir(4096, rand.New(rand.NewSource(seed^0xfc7)))
 	large := stats.NewReservoir(4096, rand.New(rand.NewSource(seed^0xfc8)))
 	var objects uint64
-	trafficgen.WebFleet(net, ids, d.Left, d.Right, webs, trafficgen.WebConfig{
-		Conn: tcp.Config{ECN: scheme.ecn()},
-		CC:   webCC(scheme, ccf),
-		OnObject: func(segs int64, fct sim.Duration) {
-			if eng.Now() < from {
-				return
-			}
-			objects++
-			if segs <= 12 {
-				small.Add(fct.Seconds())
-			} else {
-				large.Add(fct.Seconds())
-			}
-		},
-	}, sw)
+	x.Groups[1].Web.OnObject = func(segs int64, fct sim.Duration) {
+		if x.Eng.Now() < from {
+			return
+		}
+		objects++
+		if segs <= 12 {
+			small.Add(fct.Seconds())
+		} else {
+			large.Add(fct.Seconds())
+		}
+	}
+	x.Spawn()
 
-	eng.Run(from)
-	meter := stats.NewMeter(d.Forward)
-	meter.Start(eng.Now())
-	qmon := stats.MonitorQueue(eng, d.Forward, eng.Now(), 10*sim.Millisecond)
-	eng.Run(until)
-	res := fctResult{
+	x.g.Run(from)
+	w := x.open()
+	x.g.Run(until)
+	p := w.close()[0]
+	x.mustFinish(scen)
+	return fctResult{
 		smallP50: small.Quantile(0.5),
 		smallP95: small.Quantile(0.95),
 		largeP50: large.Quantile(0.5),
 		objects:  objects,
-		avgQueue: qmon.Series.Mean(),
-		util:     meter.Utilization(eng.Now()),
+		avgQueue: p.avgQueue,
+		util:     p.utilization,
 	}
-	qmon.Stop()
-	_ = dur
-	return res
 }

@@ -109,7 +109,10 @@ func TestPartitionOfOneTakesFluidDumbbell(t *testing.T) {
 		spec.Duration, spec.MeasureFrom, spec.MeasureUntil = seconds(4), seconds(1), seconds(3)
 		g := sim.NewShardGroup(1, spec.Seed)
 		net := netem.NewNetwork(g.Engine(0))
-		inst := scenario.MustCompile(g.Engine(0), net, spec)
+		inst, err := scenario.Compile(g.Engine(0), net, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		inst.Spawn() // attaches the fluid aggregate to the forward bottleneck
 		if partition {
 			if err := net.Partition(g, inst.Topo.PartitionHint(1)); err != nil {

@@ -111,8 +111,8 @@ func observeRTT(reg *obs.Registry, conn *tcp.Config) {
 }
 
 // MetricsConfig is the sweep-level metrics switch carried by a context (see
-// WithMetrics): when present, every dumbbell cell run under runSweep-style
-// experiments streams its series to Dir/<experiment>/<cell>.jsonl.
+// WithMetrics): when present, every dumbbell cell (runCells) streams its
+// series to Dir/<experiment>/<cell>.jsonl.
 type MetricsConfig struct {
 	Dir      string       // root output directory (required)
 	Interval sim.Duration // per-run sampling period (0 = default)

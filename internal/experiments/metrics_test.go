@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,6 +205,64 @@ func TestSweepMetricsParallelRegistries(t *testing.T) {
 		if got != want {
 			t.Errorf("row %d differs between parallel+metrics and serial runs:\n  %s\n  %s", i, got, want)
 		}
+	}
+}
+
+// TestFlagsCoverEveryDumbbellTable: every dumbbell cell goes through one
+// runner, so -metrics and -shards mean the same thing on a table that is not a
+// four-panel sweep (table1) and on one whose cells are custom controllers
+// (ext-delaycc) as they do on fig6: one parseable, non-empty series file per
+// cell with rows identical to the run without, and under -shards a note
+// saying what each cell did (a custom controller is barred from the cut, so
+// its rows do not move either).
+func TestFlagsCoverEveryDumbbellTable(t *testing.T) {
+	for id, cells := range map[string]int{"table1": 4, "ext-delaycc": 5} {
+		id, cells := id, cells
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			e, _ := ByID(id)
+			run := func(ctx context.Context) *Table {
+				tabs, err := e.Run(ctx, Quick)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tabs[0]
+			}
+			plain := run(context.Background())
+			if len(plain.Rows) != cells {
+				t.Fatalf("%d rows, want %d", len(plain.Rows), cells)
+			}
+
+			dir := t.TempDir()
+			streamed := run(WithMetrics(context.Background(), MetricsConfig{Dir: dir}))
+			if !reflect.DeepEqual(plain.Rows, streamed.Rows) {
+				t.Errorf("metrics changed the rows:\n  off: %v\n  on:  %v", plain.Rows, streamed.Rows)
+			}
+			paths := SeriesPaths(dir, id)
+			if len(paths) != cells {
+				t.Fatalf("got %d series files, want one per cell (%d): %v", len(paths), cells, paths)
+			}
+			for _, path := range paths {
+				if len(readSeriesFile(t, path)) == 0 {
+					t.Errorf("%s is empty", path)
+				}
+			}
+
+			if id != "ext-delaycc" {
+				return
+			}
+			if len(plain.Notes) != 1 {
+				t.Fatalf("no -shards request, yet a shard note: %v", plain.Notes)
+			}
+			sharded := run(WithShards(context.Background(), 2))
+			if !reflect.DeepEqual(plain.Rows, sharded.Rows) {
+				t.Errorf("-shards moved custom-controller rows:\n  off: %v\n  on:  %v", plain.Rows, sharded.Rows)
+			}
+			want := "requested shards=2: 0 of 5 cells ran on a dumbbell's 2 domains (see DESIGN.md §9); 5 ran on 1, barred by a custom controller"
+			if len(sharded.Notes) != 2 || sharded.Notes[1] != want {
+				t.Errorf("notes = %q\nwant the shard note %q", sharded.Notes, want)
+			}
+		})
 	}
 }
 

@@ -43,14 +43,14 @@ var Experiments = []Experiment{
 	{ID: "fig3", Title: "Predictor comparison vs queue-level losses", Scales: allScales, Run: one(Fig3)},
 	{ID: "fig4", Title: "PDF of queue length at false positives", Scales: allScales, Run: one(Fig4)},
 	{ID: "fig5", Title: "PERT probabilistic response curve", Scales: allScales, Run: one(Fig5)},
-	{ID: "fig6", Title: "Impact of bottleneck link bandwidth", Scales: allScales, Run: one(Fig6)},
-	{ID: "fig7", Title: "Impact of round trip delays", Scales: allScales, Run: one(Fig7)},
-	{ID: "fig8", Title: "Impact of the number of long-term flows", Scales: allScales, Run: one(Fig8)},
-	{ID: "fig9", Title: "Impact of web traffic", Scales: allScales, Run: one(Fig9)},
+	{ID: "fig6", Title: "Impact of bottleneck link bandwidth", Scales: allScales, Run: sweepFig("fig6")},
+	{ID: "fig7", Title: "Impact of round trip delays", Scales: allScales, Run: sweepFig("fig7")},
+	{ID: "fig8", Title: "Impact of the number of long-term flows", Scales: allScales, Run: sweepFig("fig8")},
+	{ID: "fig9", Title: "Impact of web traffic", Scales: allScales, Run: sweepFig("fig9")},
 	{ID: "fig11", Title: "Multiple bottleneck links (parking lot)", Scales: allScales, Run: one(Fig11)},
 	{ID: "fig12", Title: "Response to sudden changes in responsive traffic", Scales: allScales, Run: runFig12},
 	{ID: "fig13", Title: "Fluid-model stability (sampling bound and trajectories)", Scales: allScales, Run: runFig13},
-	{ID: "fig14", Title: "Emulating PI at end hosts", Scales: allScales, Run: one(Fig14)},
+	{ID: "fig14", Title: "Emulating PI at end hosts", Scales: allScales, Run: sweepFig("fig14")},
 	{ID: "ext-aqm", Title: "Extension: end-host AQM emulations vs router AQMs", Scales: allScales, Run: one(ExtAQM)},
 	{ID: "ext-coexist", Title: "Extension: co-existence with loss-based SACK", Scales: allScales, Run: one(ExtCoexist)},
 	{ID: "ext-delaycc", Title: "Extension: delay-based congestion-avoidance lineage", Scales: allScales, Run: one(ExtDelayCC)},

@@ -49,3 +49,17 @@ func (s Scale) window() (dur, from, until, startWin sim.Duration) {
 	}
 	return seconds(50), seconds(15), seconds(45), seconds(6)
 }
+
+// dumbbell is the standard Section 4 cell at this scale: flows long-term
+// flows at 60 ms over an mbps bottleneck, run and measured over window().
+// Tables vary it by setting further fields on the result.
+func (s Scale) dumbbell(seed int64, mbps float64, flows int) DumbbellSpec {
+	dur, from, until, sw := s.window()
+	return DumbbellSpec{
+		Seed:      seed,
+		Bandwidth: mbps * 1e6,
+		RTTs:      []sim.Duration{ms(60)},
+		Flows:     flows,
+		Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
+	}
+}

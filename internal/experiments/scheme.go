@@ -6,13 +6,7 @@
 // go test -bench) or "paper" scale (the paper's exact parameters).
 package experiments
 
-import (
-	"pert/internal/netem"
-	"pert/internal/scenario"
-	"pert/internal/sim"
-	"pert/internal/tcp"
-	"pert/internal/topo"
-)
+import "pert/internal/scenario"
 
 // Scheme is one end-to-end congestion-control + queue-management combination
 // from the paper's comparison set. The definitions live in the scenario
@@ -52,61 +46,7 @@ func toSchemes(names []string) []Scheme {
 	return out
 }
 
-// Known reports whether s names a registered scheme; callers should check it
-// (or use scenario.Lookup for an error) before handing s to scenario
-// builders, which panic on unknown schemes.
+// Known reports whether s names a registered scheme.
 func (s Scheme) Known() bool {
 	return scenario.Known(string(s))
-}
-
-// def resolves the registered definition; unknown schemes panic, so callers
-// on error paths must gate on Known first.
-func (s Scheme) def() scenario.SchemeDef {
-	return scenario.MustLookup(string(s))
-}
-
-// schemeEnv captures what a scheme needs from the scenario to build its
-// pieces: link capacity in packets/second, a flow-count bound, and an RTT
-// bound (for PI design rules). It mirrors scenario.Env for the experiment
-// bodies that still assemble environments by hand.
-type schemeEnv struct {
-	capacityPPS float64
-	nFlows      int
-	maxRTT      sim.Duration
-	targetDelay sim.Duration // PI reference; default 3 ms per Section 6.1
-}
-
-// env converts to the registry's environment type.
-func (e schemeEnv) env() scenario.Env {
-	return scenario.Env{
-		CapacityPPS: e.capacityPPS,
-		NFlows:      e.nFlows,
-		MaxRTT:      e.maxRTT,
-		TargetDelay: e.targetDelay,
-	}
-}
-
-// queueFor returns the bottleneck queue factory for the scheme.
-func (s Scheme) queueFor(net *netem.Network, env schemeEnv) topo.QueueFactory {
-	return s.def().Queue(net, env.env())
-}
-
-// ccFor returns a congestion-controller factory for the scheme.
-func (s Scheme) ccFor(net *netem.Network, env schemeEnv) func() tcp.CongestionControl {
-	return s.def().CC(net, env.env())
-}
-
-// ecn reports whether endpoints negotiate ECN under this scheme.
-func (s Scheme) ecn() bool {
-	return s.def().ECN
-}
-
-// webCC picks the controller for web transfers: the paper's background web
-// traffic is standard TCP except under schemes every end host runs (the
-// all-PERT and all-Vegas scenarios), per the registry's ProactiveWeb flag.
-func webCC(s Scheme, ccf func() tcp.CongestionControl) func() tcp.CongestionControl {
-	if s.def().ProactiveWeb {
-		return ccf
-	}
-	return func() tcp.CongestionControl { return tcp.Reno{} }
 }

@@ -8,12 +8,9 @@ import (
 	"pert/internal/core"
 	"pert/internal/netem"
 	"pert/internal/predictors"
-	"pert/internal/queue"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/stats"
-	"pert/internal/tcp"
-	"pert/internal/topo"
-	"pert/internal/trafficgen"
 )
 
 // Section2Case is one of the paper's six trace-collection loads: 50 or 100
@@ -76,54 +73,57 @@ func CollectTrace(c Section2Case, seed int64, bandwidth float64, buffer int, dur
 // section2Run simulates one case on the Section 2.2 topology with standard
 // TCP everywhere, a tagged 60 ms flow, and returns the collected trace.
 func section2Run(c Section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
-	eng := sim.NewEngine(seed)
-	net := netem.NewNetwork(eng)
-	// Flows have different RTTs (varying access delays); the tagged flow's
-	// end-to-end delay is 60 ms as in the paper.
-	rtts := []sim.Duration{ms(60), ms(40), ms(80), ms(100), ms(52), ms(68), ms(90), ms(30)}
-	d := topo.NewDumbbell(net, topo.DumbbellConfig{
-		Bandwidth:  bandwidth,
-		Delay:      ms(20),
-		Hosts:      32,
-		RTTs:       rtts,
-		BufferPkts: buffer,
-		Queue: func(limit int, _ float64) netem.Discipline {
-			return queue.NewDropTail(limit)
+	sack := string(SackDroptail)
+	// The tagged flow is group 0: alone on the first host pair (whose RTT is
+	// 60 ms as in the paper), started at t=0 with no window, so it keeps flow
+	// ID 1 and draws nothing. Everything else shares the remaining hosts.
+	//
+	// Long-term flows run in both directions (the paper's load description);
+	// the reverse direction carries half the long flows plus half the web
+	// sessions, making reverse-path delay episodic rather than constant —
+	// the round-trip signal then sees congestion the forward queue does not
+	// have, the paper's source of prediction uncertainty.
+	const fwd, rev = "left[1:32]", "right[1:32]"
+	x := mustStart(scenario.Spec{
+		Name: "section2",
+		Seed: seed,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: bandwidth,
+			Delay:     ms(20),
+			Hosts:     32,
+			// Flows have different RTTs (varying access delays).
+			RTTs:       []sim.Duration{ms(60), ms(40), ms(80), ms(100), ms(52), ms(68), ms(90), ms(30)},
+			BufferPkts: buffer,
+			AQM:        sack,
 		},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "tagged", Scheme: sack, Count: 1, From: "left[0:1]", To: "right[0:1]"},
+			{Scheme: sack, Count: c.LongFlows - 1, From: fwd, To: rev, StartWindow: warm / 2},
+			{Scheme: sack, Count: c.LongFlows / 2, From: rev, To: fwd, StartWindow: warm / 2},
+			{Scheme: sack, Count: c.Web, From: fwd, To: rev, Traffic: scenario.Web, StartWindow: warm},
+			{Scheme: sack, Count: c.Web / 2, From: rev, To: fwd, Traffic: scenario.Web, StartWindow: warm},
+		},
+		Duration: dur,
 	})
-
-	collector := predictors.NewCollector(d.Forward, buffer, warm)
-	ids := trafficgen.NewIDs()
-	reno := func() tcp.CongestionControl { return tcp.Reno{} }
+	scen := fmt.Sprintf("section2 %s long=%d web=%d", c.Name, c.LongFlows, c.Web)
+	x.audit(netem.AuditConfig{Scenario: scen})
+	collector := predictors.NewCollector(x.Dumbbell().Forward, buffer, warm)
 
 	// ns-2's Agent/TCP defaults to a 20-packet receiver window; the Section
 	// 2 traces inherit it. The cap matters: capped long flows cannot
 	// saturate the link alone, so congestion arrives in web-driven
 	// episodes with loss-free lulls between them — the regime in which
 	// smoothed-signal false positives occur at all.
-	const ns2Window = 20
-	base := tcp.Config{MaxCwnd: ns2Window}
+	for _, g := range x.Groups {
+		g.Conn.MaxCwnd = 20
+	}
+	x.Groups[0].Conn = collector.Config(x.Groups[0].Conn)
+	x.Spawn()
+	collector.Bind(x.Groups[0].Flows[0].Conn)
 
-	// The tagged flow: first host pair, whose RTT is 60 ms.
-	tagged := tcp.NewFlow(net, d.Left[0], d.Right[0], ids.Next(), tcp.Reno{}, collector.Config(base))
-	collector.Bind(tagged.Conn)
-	tagged.Start(0)
-
-	// Long-term flows run in both directions (the paper's load description);
-	// the reverse direction carries half the long flows plus half the web
-	// sessions, making reverse-path delay episodic rather than constant —
-	// the round-trip signal then sees congestion the forward queue does not
-	// have, the paper's source of prediction uncertainty.
-	trafficgen.FTPFleet(net, ids, d.Left[1:], d.Right[1:], c.LongFlows-1, trafficgen.FTPConfig{
-		CC: reno, Conn: base, StartWindow: warm / 2,
-	})
-	trafficgen.FTPFleet(net, ids, d.Right[1:], d.Left[1:], c.LongFlows/2, trafficgen.FTPConfig{
-		CC: reno, Conn: base, StartWindow: warm / 2,
-	})
-	trafficgen.WebFleet(net, ids, d.Left[1:], d.Right[1:], c.Web, trafficgen.WebConfig{Conn: base}, warm)
-	trafficgen.WebFleet(net, ids, d.Right[1:], d.Left[1:], c.Web/2, trafficgen.WebConfig{Conn: base}, warm)
-
-	eng.Run(dur)
+	x.g.Run(dur)
+	x.mustFinish(scen)
 	return &collector.Trace
 }
 

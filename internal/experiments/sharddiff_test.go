@@ -15,14 +15,16 @@ import (
 // one of two contract classes:
 //
 //   - byteIdentical: the experiment never engages the sharded engine (analytic
-//     tables, custom-instrumented studies, hand-built engines, custom CC
-//     factories). A -shards request must be a perfect no-op: the tables match
-//     the serial run byte for byte, notes included.
+//     tables, and runs whose spec never sets shards). A -shards request must
+//     be a perfect no-op: the tables match the serial run byte for byte, notes
+//     included.
 //   - deterministicPerN: the experiment runs on the sharded engine when
 //     -shards > 1. Results may legitimately differ from the serial run (domain
 //     engines draw from per-shard RNG streams), but at a fixed shard count
 //     repeated runs must produce identical tables — rows, notes, and per-shard
-//     event counts.
+//     event counts. Dumbbell tables whose every cell is barred from the cut
+//     (custom controllers) sit here too: their rows do not move, but the table
+//     gains the note saying what barred them.
 //
 // A third guarantee holds for both classes: -shards 1 is the serial engine
 // (sharding engages only above one shard), so a shards=1 run must match the
@@ -42,32 +44,32 @@ const (
 // shardDiffExpectations must cover every registry ID — the exhaustiveness
 // test below fails when an experiment is added without classifying it.
 var shardDiffExpectations = map[string]shardDiffClass{
-	"fig2":              byteIdentical, // Section 2 loss study, hand-built engine
-	"fig3":              byteIdentical, // predictor comparison, hand-built engine
-	"fig4":              byteIdentical, // false-positive PDF, hand-built engine
+	"fig2":              byteIdentical, // Section 2 loss study; spec never sets shards
+	"fig3":              byteIdentical, // predictor comparison; spec never sets shards
+	"fig4":              byteIdentical, // false-positive PDF; spec never sets shards
 	"fig5":              byteIdentical, // analytic response curve
 	"fig6":              deterministicPerN,
 	"fig7":              deterministicPerN,
 	"fig8":              deterministicPerN,
 	"fig9":              deterministicPerN, // web traffic crosses the cut
-	"fig11":             byteIdentical,     // hand-built parking-lot engines
-	"fig12":             byteIdentical,     // per-interval instrumentation forces serial
+	"fig11":             byteIdentical,     // spec never sets shards
+	"fig12":             byteIdentical,     // spec never sets shards
 	"fig13":             byteIdentical,     // fluid model, no packet engine
 	"fig14":             deterministicPerN, // PERT-PI + router PI sharded
 	"ext-aqm":           deterministicPerN, // RED/PI/REM/AVQ marking RNG rebound per domain
-	"ext-coexist":       byteIdentical,     // hand-built engine
-	"ext-delaycc":       byteIdentical,     // custom CC factories run serial
-	"ext-fct":           byteIdentical,     // hand-built engine
+	"ext-coexist":       byteIdentical,     // spec never sets shards
+	"ext-delaycc":       deterministicPerN, // every cell barred by a custom controller: rows unchanged, note added
+	"ext-fct":           byteIdentical,     // spec never sets shards
 	"ext-flap":          deterministicPerN, // capacity changes + flaps on the boundary link
-	"ext-highspeed":     byteIdentical,     // custom CC factories run serial
+	"ext-highspeed":     deterministicPerN, // every cell barred by a custom controller: rows unchanged, note added
 	"ext-hybrid":        byteIdentical,     // fluid substrate is serial-only; spec never sets shards
 	"ext-jitter":        deterministicPerN, // registered-scheme rows shard; custom rows serial
 	"ext-lossy":         deterministicPerN, // wire-loss impairment on the boundary link
 	"ext-parkinglot-xl": deterministicPerN, // scenario path, shards by default
 	"ext-replicated":    deterministicPerN,
 	"ext-stability":     byteIdentical, // certified boundaries, no packet engine
-	"ext-threshold":     byteIdentical, // custom CC variants run serial
-	"ext-validation":    byteIdentical, // hand-built engine vs fluid model
+	"ext-threshold":     byteIdentical, // Section 2 traces; spec never sets shards
+	"ext-validation":    byteIdentical, // spec never sets shards
 	"table1":            deterministicPerN,
 }
 
@@ -80,7 +82,7 @@ var shardDiffQuickSet = map[string]bool{
 	"ext-flap":          true, // boundary-link capacity halving and up/down flaps
 	"ext-parkinglot-xl": true, // scenario runner, 8 bottlenecks, AQM option
 	"fig5":              true, // analytic byte-identity representative
-	"ext-delaycc":       true, // custom-CC serial-fallback representative
+	"ext-delaycc":       true, // custom-CC representative: barred from the cut, and noted
 }
 
 func shardDiffFull() bool { return os.Getenv("PERT_SHARDDIFF") == "full" }

@@ -3,70 +3,58 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
 	"pert/internal/sim"
+	"pert/internal/tcp"
 )
 
-// sweepPoint is one x-axis value of a Section 4 figure.
-type sweepPoint struct {
-	label string
-	spec  DumbbellSpec
+// cell is one independent seeded dumbbell run of a table: a registered scheme,
+// or — when cc is set — a custom controller over DropTail that name only
+// labels. label is the cell's x-axis value, empty in a table that is not swept.
+type cell struct {
+	label, name string
+	cc          func() tcp.CongestionControl
+	spec        DumbbellSpec
 }
 
-// sweepUnits annotates the shared four-panel columns for the JSON schema.
-func sweepUnits() map[string]string {
-	return map[string]string{
-		"avg_queue_pkts": "packets",
-		"norm_queue":     "fraction of buffer",
-		"drop_rate":      "fraction",
-		"mark_rate":      "fraction",
-		"utilization":    "fraction",
-		"jain":           "index",
+// scheme is the name the run goes by: what RunDumbbell / RunDumbbellWith
+// label it with and what shardBar judges.
+func (c cell) scheme() string {
+	if c.cc != nil {
+		return customCC
 	}
+	return c.name
 }
 
-// runSweep executes every (point, scheme) cell and formats the four panels
-// the paper plots: average queue (normalized), drop rate, utilization, Jain
-// index. Cells run on Workers(ctx) workers; each owns its engine and RNG, so
-// rows are bit-identical at any worker count.
-func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint, schemes []Scheme) (*Table, error) {
-	t := &Table{
-		ID:     id,
-		Title:  title,
-		XLabel: xlabel,
-		Header: []string{xlabel, "scheme", "avg_queue_pkts", "norm_queue", "drop_rate", "mark_rate", "utilization", "jain"},
-		Units:  sweepUnits(),
-	}
-	type cell struct {
-		label string
-		s     Scheme
-		spec  DumbbellSpec
-	}
-	// A -shards request propagates into every cell; the note below reports
-	// what each cell's run actually did with it.
+// runCells is the one cell loop: it runs every cell on Workers(ctx) workers
+// (each owns its engine and RNG, so rows are bit-identical at any worker
+// count), adds row(i, result) to t for each cell i in order, and notes what a
+// -shards request actually did. A -shards request propagates into every cell;
+// under a metrics context each cell streams its time series to
+// <dir>/<t.ID>/<label>_<name>.jsonl (just <name> when unswept).
+func runCells(ctx context.Context, t *Table, cells []cell, row func(i int, r DumbbellResult) []string) (*Table, error) {
 	requested := ShardsFrom(ctx, 0)
-	cells := make([]cell, 0, len(points)*len(schemes))
-	for _, pt := range points {
-		for _, s := range schemes {
-			spec := pt.spec
-			spec.Shards = requested
-			cells = append(cells, cell{pt.label, s, spec})
-		}
+	for i := range cells {
+		cells[i].spec.Shards = requested
 	}
-	// When the context carries a metrics config, each cell streams its time
-	// series to <dir>/<id>/<label>_<scheme>.jsonl. Files are opened up front
-	// (forEach workers cannot return errors) and closed after the sweep.
+	// Series files are opened up front (forEach workers cannot return
+	// errors) and closed after the sweep.
 	var closers []func() error
 	if cfg, ok := MetricsFrom(ctx); ok {
-		for i := range cells {
-			ms, closeFn, err := cfg.open(id, cells[i].label+"_"+string(cells[i].s))
+		for i, c := range cells {
+			file := c.name
+			if c.label != "" {
+				file = c.label + "_" + c.name
+			}
+			ms, closeFn, err := cfg.open(t.ID, file)
 			if err != nil {
-				for _, c := range closers {
-					_ = c()
+				for _, closeFn := range closers {
+					_ = closeFn()
 				}
-				return nil, fmt.Errorf("%s: %w", id, err)
+				return nil, fmt.Errorf("%s: %w", t.ID, err)
 			}
 			cells[i].spec.Metrics = ms
 			closers = append(closers, closeFn)
@@ -74,7 +62,7 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 	}
 	results := make([]DumbbellResult, len(cells))
 	runErr := forEach(ctx, len(cells), func(i int) {
-		results[i] = RunDumbbell(cells[i].spec, cells[i].s)
+		results[i] = runDumbbell(cells[i].spec, cells[i].scheme(), cells[i].cc)
 	})
 	for _, closeFn := range closers {
 		if err := closeFn(); err != nil && runErr == nil {
@@ -82,11 +70,10 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 		}
 	}
 	if runErr != nil {
-		return nil, fmt.Errorf("%s: %w", id, runErr)
+		return nil, fmt.Errorf("%s: %w", t.ID, runErr)
 	}
 	for i, r := range results {
-		t.AddRow(cells[i].label, string(cells[i].s), f2(r.AvgQueue), f3(r.NormQueue),
-			sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization), f3(r.Jain))
+		t.AddRow(row(i, r)...)
 	}
 	if requested > 1 {
 		// Derived from what the runs report, not from the request: a cell
@@ -96,7 +83,7 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 		for i, r := range results {
 			if r.Domains > 1 {
 				cut++
-			} else if bar := cells[i].spec.shardBar(string(cells[i].s)); !slices.Contains(bars, bar) {
+			} else if bar := cells[i].spec.shardBar(cells[i].scheme()); !slices.Contains(bars, bar) {
 				bars = append(bars, bar)
 			}
 		}
@@ -109,130 +96,158 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 	return t, nil
 }
 
-// Fig6 reproduces "Impact of bottleneck link bandwidth": bandwidth sweep at
-// 60 ms RTT, flow count scaled with bandwidth so the link can be driven to
-// full utilization at every point.
-func Fig6(ctx context.Context, scale Scale) (*Table, error) {
+// sweepPoint is one x-axis value of a Section 4 figure.
+type sweepPoint struct {
+	label string
+	spec  DumbbellSpec
+}
+
+// runSweep runs every (point, scheme) cell and formats the four panels the
+// paper plots: average queue (normalized), drop rate, utilization, Jain index.
+func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint, schemes []Scheme) (*Table, error) {
+	t := &Table{
+		ID:     id,
+		Title:  title,
+		XLabel: xlabel,
+		Header: []string{xlabel, "scheme", "avg_queue_pkts", "norm_queue", "drop_rate", "mark_rate", "utilization", "jain"},
+		Units: map[string]string{
+			"avg_queue_pkts": "packets",
+			"norm_queue":     "fraction of buffer",
+			"drop_rate":      "fraction",
+			"mark_rate":      "fraction",
+			"utilization":    "fraction",
+			"jain":           "index",
+		},
+	}
+	cells := make([]cell, 0, len(points)*len(schemes))
+	for _, pt := range points {
+		for _, s := range schemes {
+			cells = append(cells, cell{label: pt.label, name: string(s), spec: pt.spec})
+		}
+	}
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].label, cells[i].name, f2(r.AvgQueue), f3(r.NormQueue),
+			sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization), f3(r.Jain)}
+	})
+}
+
+// sweepAxis is a Section 4 sweep at one scale: the base scenario (bottleneck
+// rate and long-flow count at 60 ms) and the x-axis values swept over it.
+type sweepAxis struct {
+	mbps  float64
+	flows int
+	xs    []float64
+}
+
+// sweepDef is one four-panel figure as data: which DumbbellSpec field the
+// x-axis sets, over which values on which base at each scale, under which
+// schemes. Point i runs at seed+i.
+type sweepDef struct {
+	xlabel       string
+	title        func(sweepAxis) string
+	seed         int64
+	schemes      []Scheme
+	quick, paper sweepAxis
+	set          func(spec *DumbbellSpec, x float64) (label string)
+	notes        []string
+}
+
+// rttSweep is the RTT sweep at fixed bandwidth and flow count (paper:
+// 150 Mbps, 50 flows) that Fig. 7 and Fig. 14 share; title is a format over
+// (Mbps, flows).
+func rttSweep(seed int64, schemes []Scheme, title string) sweepDef {
+	return sweepDef{
+		xlabel: "rtt", seed: seed, schemes: schemes,
+		title: func(a sweepAxis) string { return fmt.Sprintf(title, a.mbps, a.flows) },
+		quick: sweepAxis{30, 10, []float64{10, 30, 60, 150, 400}},
+		paper: sweepAxis{150, 50, []float64{10, 30, 60, 100, 300, 1000}},
+		set: func(spec *DumbbellSpec, x float64) string {
+			spec.RTTs = []sim.Duration{ms(x)}
+			return fmt.Sprintf("%gms", x)
+		},
+	}
+}
+
+// sweepDefs are the four-panel figures: Figs. 6-9 of Section 4 and Fig. 14
+// of Section 6.
+var sweepDefs = map[string]sweepDef{
+	// "Impact of bottleneck link bandwidth": flows scale with bandwidth (one
+	// per 2 Mbps, at least two) so the link can be driven to full utilization
+	// at every point.
+	"fig6": {
+		xlabel: "bandwidth", seed: 1000, schemes: AllSection4Schemes,
+		title: func(sweepAxis) string { return "Impact of bottleneck link bandwidth (RTT 60 ms)" },
+		quick: sweepAxis{xs: []float64{1, 5, 20, 80}},
+		paper: sweepAxis{xs: []float64{1, 10, 100, 500, 1000}},
+		set: func(spec *DumbbellSpec, x float64) string {
+			spec.Bandwidth = x * 1e6
+			spec.Flows = max(2, int(math.Ceil(x/2)))
+			return fmt.Sprintf("%gMbps", x)
+		},
+		notes: []string{"flows scale with bandwidth as in the paper"},
+	},
+	// "Impact of round trip delays".
+	"fig7": rttSweep(2000, AllSection4Schemes, "Impact of end-to-end RTT (%g Mbps, %d flows)"),
+	// "Impact of varying the number of long-term flows" (paper: 500 Mbps,
+	// 60 ms, 1..1000 flows).
+	"fig8": {
+		xlabel: "flows", seed: 3000, schemes: AllSection4Schemes,
+		title: func(a sweepAxis) string {
+			return fmt.Sprintf("Impact of number of long-term flows (%g Mbps, 60 ms)", a.mbps)
+		},
+		quick: sweepAxis{mbps: 50, xs: []float64{1, 4, 16, 64, 256}},
+		paper: sweepAxis{mbps: 500, xs: []float64{1, 10, 100, 400, 1000}},
+		set: func(spec *DumbbellSpec, x float64) string {
+			spec.Flows = int(x)
+			return fmt.Sprint(x)
+		},
+	},
+	// "Impact of web traffic": web sessions over a base of long-term flows
+	// (paper: 150 Mbps, 50 flows, 10..1000 sessions).
+	"fig9": {
+		xlabel: "web_sessions", seed: 4000, schemes: AllSection4Schemes,
+		title: func(a sweepAxis) string {
+			return fmt.Sprintf("Impact of web traffic (%g Mbps, %d long flows)", a.mbps, a.flows)
+		},
+		quick: sweepAxis{30, 10, []float64{10, 50, 100, 200}},
+		paper: sweepAxis{150, 50, []float64{10, 100, 500, 1000}},
+		set: func(spec *DumbbellSpec, x float64) string {
+			spec.WebSessions = int(x)
+			return fmt.Sprint(x)
+		},
+	},
+	// "Emulating PI at end-hosts": the Fig. 7 sweep run with PERT/PI against
+	// router PI with ECN (plus PERT/RED for context).
+	"fig14": rttSweep(6000, []Scheme{PERTPI, SackPI, PERT}, "Emulating PI at end hosts (%g Mbps, %d flows, target delay 3 ms)"),
+}
+
+// sweepFig is the Runner of the sweepDefs figure id.
+func sweepFig(id string) Runner {
+	return one(func(ctx context.Context, scale Scale) (*Table, error) {
+		return sweepDefs[id].run(ctx, id, scale)
+	})
+}
+
+// run executes the figure at a scale.
+func (d sweepDef) run(ctx context.Context, id string, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
-	type bw struct {
-		mbps  float64
-		flows int
-	}
-	var sweep []bw
+	a := d.quick
 	if scale == Paper {
-		sweep = []bw{{1, 2}, {10, 5}, {100, 50}, {500, 250}, {1000, 500}}
-	} else {
-		sweep = []bw{{1, 2}, {5, 3}, {20, 10}, {80, 40}}
+		a = d.paper
 	}
-	var points []sweepPoint
-	for i, b := range sweep {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("%gMbps", b.mbps),
-			spec: DumbbellSpec{
-				Seed:      1000 + int64(i),
-				Bandwidth: b.mbps * 1e6,
-				RTTs:      []sim.Duration{ms(60)},
-				Flows:     b.flows,
-				Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			},
-		})
+	points := make([]sweepPoint, len(a.xs))
+	for i, x := range a.xs {
+		spec := scale.dumbbell(d.seed+int64(i), a.mbps, a.flows)
+		points[i] = sweepPoint{d.set(&spec, x), spec}
 	}
-	t, err := runSweep(ctx, "fig6", "Impact of bottleneck link bandwidth (RTT 60 ms)", "bandwidth", points, AllSection4Schemes)
+	t, err := runSweep(ctx, id, d.title(a), d.xlabel, points, d.schemes)
 	if err != nil {
 		return nil, err
 	}
-	t.Notes = append(t.Notes, "flows scale with bandwidth as in the paper")
+	t.Notes = append(t.Notes, d.notes...)
 	return t, nil
-}
-
-// Fig7 reproduces "Impact of round trip delays": RTT sweep at fixed
-// bandwidth and 50 flows (paper: 150 Mbps).
-func Fig7(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	dur, from, until, sw := scale.window()
-	bwMbps, flows := 30.0, 10
-	rtts := []float64{10, 30, 60, 150, 400}
-	if scale == Paper {
-		bwMbps, flows = 150, 50
-		rtts = []float64{10, 30, 60, 100, 300, 1000}
-	}
-	var points []sweepPoint
-	for i, r := range rtts {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("%gms", r),
-			spec: DumbbellSpec{
-				Seed:      2000 + int64(i),
-				Bandwidth: bwMbps * 1e6,
-				RTTs:      []sim.Duration{ms(r)},
-				Flows:     flows,
-				Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			},
-		})
-	}
-	return runSweep(ctx, "fig7", fmt.Sprintf("Impact of end-to-end RTT (%g Mbps, %d flows)", bwMbps, flows), "rtt", points, AllSection4Schemes)
-}
-
-// Fig8 reproduces "Impact of varying the number of long-term flows" (paper:
-// 500 Mbps, 60 ms, 1..1000 flows).
-func Fig8(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	dur, from, until, sw := scale.window()
-	bwMbps := 50.0
-	counts := []int{1, 4, 16, 64, 256}
-	if scale == Paper {
-		bwMbps = 500
-		counts = []int{1, 10, 100, 400, 1000}
-	}
-	var points []sweepPoint
-	for i, n := range counts {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("%d", n),
-			spec: DumbbellSpec{
-				Seed:      3000 + int64(i),
-				Bandwidth: bwMbps * 1e6,
-				RTTs:      []sim.Duration{ms(60)},
-				Flows:     n,
-				Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			},
-		})
-	}
-	return runSweep(ctx, "fig8", fmt.Sprintf("Impact of number of long-term flows (%g Mbps, 60 ms)", bwMbps), "flows", points, AllSection4Schemes)
-}
-
-// Fig9 reproduces "Impact of web traffic": web-session sweep over a base of
-// long-term flows (paper: 150 Mbps, 50 flows, 10..1000 sessions).
-func Fig9(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	dur, from, until, sw := scale.window()
-	bwMbps, flows := 30.0, 10
-	webs := []int{10, 50, 100, 200}
-	if scale == Paper {
-		bwMbps, flows = 150, 50
-		webs = []int{10, 100, 500, 1000}
-	}
-	var points []sweepPoint
-	for i, w := range webs {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("%d", w),
-			spec: DumbbellSpec{
-				Seed:      4000 + int64(i),
-				Bandwidth: bwMbps * 1e6,
-				RTTs:      []sim.Duration{ms(60)},
-				Flows:     flows, WebSessions: w,
-				Duration: dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			},
-		})
-	}
-	return runSweep(ctx, "fig9", fmt.Sprintf("Impact of web traffic (%g Mbps, %d long flows)", bwMbps, flows), "web_sessions", points, AllSection4Schemes)
 }
 
 // Table1 reproduces "Impact of different RTTs": ten flows with RTTs
@@ -242,7 +257,6 @@ func Table1(ctx context.Context, scale Scale) (*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	dur, from, until, sw := scale.window()
 	bwMbps, webs := 30.0, 20
 	if scale == Paper {
 		bwMbps, webs = 150, 100
@@ -257,48 +271,13 @@ func Table1(ctx context.Context, scale Scale) (*Table, error) {
 		Header: []string{"scheme", "Q(norm)", "p", "U(%)", "F"},
 		Units:  map[string]string{"Q(norm)": "fraction of buffer", "p": "fraction", "U(%)": "percent", "F": "index"},
 	}
-	for i, s := range []Scheme{PERT, SackDroptail, SackRED, Vegas} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := RunDumbbell(DumbbellSpec{
-			Seed:      5000 + int64(i),
-			Bandwidth: bwMbps * 1e6,
-			RTTs:      rtts,
-			Flows:     10, WebSessions: webs,
-			Duration: dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			Shards: ShardsFrom(ctx, 0),
-		}, s)
-		t.AddRow(string(s), f2(r.NormQueue), sci(r.DropRate), f2(100*r.Utilization), f2(r.Jain))
+	schemes := []Scheme{PERT, SackDroptail, SackRED, Vegas}
+	cells := make([]cell, len(schemes))
+	for i, s := range schemes {
+		cells[i] = cell{name: string(s), spec: scale.dumbbell(5000+int64(i), bwMbps, 10)}
+		cells[i].spec.RTTs, cells[i].spec.WebSessions = rtts, webs
 	}
-	return t, nil
-}
-
-// Fig14 reproduces "Emulating PI at end-hosts": the Fig7 RTT sweep run with
-// PERT/PI against router PI with ECN (plus PERT/RED for context).
-func Fig14(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	dur, from, until, sw := scale.window()
-	bwMbps, flows := 30.0, 10
-	rtts := []float64{10, 30, 60, 150, 400}
-	if scale == Paper {
-		bwMbps, flows = 150, 50
-		rtts = []float64{10, 30, 60, 100, 300, 1000}
-	}
-	var points []sweepPoint
-	for i, r := range rtts {
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("%gms", r),
-			spec: DumbbellSpec{
-				Seed:      6000 + int64(i),
-				Bandwidth: bwMbps * 1e6,
-				RTTs:      []sim.Duration{ms(r)},
-				Flows:     flows,
-				Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
-			},
-		})
-	}
-	return runSweep(ctx, "fig14", fmt.Sprintf("Emulating PI at end hosts (%g Mbps, %d flows, target delay 3 ms)", bwMbps, flows), "rtt", points, []Scheme{PERTPI, SackPI, PERT})
+	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
+		return []string{cells[i].name, f2(r.NormQueue), sci(r.DropRate), pct(r.Utilization), f2(r.Jain)}
+	})
 }

@@ -199,10 +199,6 @@ func (fs *FluidSource) admit(p *Packet) bool {
 // Backlog returns the modeled fluid packets currently in the shared queue.
 func (fs *FluidSource) Backlog() float64 { return fs.backlog }
 
-// QueueDelay returns the extra queueing delay real packets currently inherit
-// from the modeled traffic.
-func (fs *FluidSource) QueueDelay() sim.Duration { return fs.extra }
-
 // Prob returns the aggregate's current response probability.
 func (fs *FluidSource) Prob() float64 { return fs.prob }
 

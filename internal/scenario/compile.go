@@ -291,14 +291,3 @@ func (inst *Instance) attachFluid(i int, g FlowGroupSpec) *netem.FluidSource {
 	}
 	return fs
 }
-
-// MustCompile is Compile for specs the caller has already validated (the
-// refactored experiment entry points, whose inputs were checked at their
-// own boundaries). It panics on error.
-func MustCompile(eng *sim.Engine, net *netem.Network, spec Spec) *Instance {
-	inst, err := Compile(eng, net, spec)
-	if err != nil {
-		panic(err)
-	}
-	return inst
-}

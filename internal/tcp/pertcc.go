@@ -36,10 +36,6 @@ type PERT struct {
 // deterministic RNG.
 func NewPERTRed() *PERT { return &PERT{} }
 
-// NewPERTWith builds PERT around an explicit responder (PI emulation or
-// ablation variants).
-func NewPERTWith(r core.Responder) *PERT { return &PERT{Responder: r} }
-
 // NewPERTLazy builds PERT whose responder is constructed per-connection at
 // Init time (ablation variants that need the connection's RNG).
 func NewPERTLazy(build func(c *Conn) core.Responder) *PERT {

@@ -17,7 +17,9 @@ test:
 
 # Full gate: vet, the one-run-path gate, every committed example scenario
 # validated against the loader, then the test suite under the race detector
-# (exercises the harness and the parallel sweep workers).
+# (exercises the harness and the parallel sweep workers). The wall-clock
+# metrics-overhead budget is built only without -race, so it runs in `make
+# test` and `make bench-smoke`, not here.
 check: vet one-path validate-scenarios
 	$(GO) test -race -timeout 20m ./...
 
@@ -53,7 +55,9 @@ bench-micro:
 # Fast benchmark sanity pass for CI: run each microbenchmark once, the
 # allocation-budget tests that pin the zero-alloc hot paths (including the
 # disabled-metrics path), and the metrics-overhead budget (<10% on the
-# benchmark dumbbell with sampling at the default interval).
+# benchmark dumbbell with sampling at the default interval; a wall-clock
+# ratio, so its file is excluded from -race builds and this is where it
+# gates).
 bench-smoke:
 	$(GO) test -run 'TestScheduleAllocBudget|TestLinkAllocBudget' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/netem/
 	$(GO) test -run 'TestMetricsOverheadSmoke' -bench 'BenchmarkSimulatedSecond' -benchtime=1x -benchmem .
@@ -204,6 +208,7 @@ fuzz:
 	$(GO) test ./internal/netem -run=NONE -fuzz=FuzzPartition -fuzztime=20s
 	$(GO) test ./internal/harness -run=NONE -fuzz=FuzzDecodeRunRecord -fuzztime=20s
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzEngineOps -fuzztime=20s
+	$(GO) test ./internal/core -run=NONE -fuzz=FuzzRamp -fuzztime=20s
 
 clean:
 	$(GO) clean ./...

@@ -49,63 +49,32 @@ func NewAdaptiveResponder(rng *rand.Rand) *AdaptiveResponder {
 
 // OnRTT implements Responder.
 func (a *AdaptiveResponder) OnRTT(now sim.Time, rtt sim.Duration) Decision {
-	sig := a.Signal()
-	sig.Observe(rtt)
-	tq := sig.QueueingDelay()
+	a.sig.Observe(rtt)
+	tq := a.sig.QueueingDelay()
 	p := a.Curve.Prob(tq)
 	d := Decision{Prob: p, Factor: a.DecreaseFactor}
-
 	if tq < a.Curve.Tmin {
 		// Queue cleared: previous responses worked; re-arm everything.
 		a.spacingRTTs = 1
 		a.oneShotUsed = false
 		return d
 	}
-	if p <= 0 {
-		return d
-	}
 
-	// One-shot region: deterministic single response.
 	if a.OneShotThreshold > 0 && p >= a.OneShotThreshold {
-		if a.oneShotUsed {
-			return d
-		}
-		if a.spaced(now) {
+		// One-shot region: deterministic single response.
+		if !a.oneShotUsed && a.spaced(now, a.spacingRTTs) {
 			a.oneShotUsed = true
-			a.fire(now)
-			d.Respond = true
+			a.fire(now, &d)
 		}
-		return d
+	} else {
+		d = a.decide(now, p, a.spacingRTTs)
 	}
-
-	if !a.spaced(now) {
-		return d
-	}
-	if a.rng.Float64() < p {
-		a.fire(now)
-		d.Respond = true
-	}
-	return d
-}
-
-// spaced reports whether enough time has passed since the last response,
-// with escalation: the required gap is spacingRTTs round trips.
-func (a *AdaptiveResponder) spaced(now sim.Time) bool {
-	if !a.hasResp {
-		return true
-	}
-	gap := a.Signal().SRTT() * sim.Duration(a.spacingRTTs)
-	return now-a.lastResp >= gap
-}
-
-// fire records a response and escalates the spacing for the next one (the
-// queue evidently persisted through this response's preconditions).
-func (a *AdaptiveResponder) fire(now sim.Time) {
-	a.lastResp = now
-	a.hasResp = true
-	if a.EscalateSpacing && a.spacingRTTs < a.MaxSpacingRTTs {
+	// The queue persisted through this response's preconditions, so the
+	// next one waits longer.
+	if d.Respond && a.EscalateSpacing && a.spacingRTTs < a.MaxSpacingRTTs {
 		a.spacingRTTs *= 2
 	}
+	return d
 }
 
 // REMResponder emulates the REM AQM (Athuraliya et al.) at the end host: a
@@ -115,16 +84,12 @@ func (a *AdaptiveResponder) fire(now sim.Time) {
 // the probability is exponential in the price, which reacts faster to large
 // excursions.
 type REMResponder struct {
-	Gamma          float64      // price gain per second of delay error
-	Phi            float64      // probability base (> 1); REM's default 1.001
-	Target         sim.Duration // queueing-delay reference
-	DecreaseFactor float64
+	respond
+	Gamma  float64      // price gain per second of delay error
+	Phi    float64      // probability base (> 1); REM's default 1.001
+	Target sim.Duration // queueing-delay reference
 
-	sig      *Signal
-	rng      *rand.Rand
-	price    float64
-	lastResp sim.Time
-	hasResp  bool
+	price float64
 }
 
 // NewREMResponder builds a REM emulation with the given target delay.
@@ -140,22 +105,17 @@ func NewREMResponder(rng *rand.Rand, gamma, phi float64, target sim.Duration) *R
 		panic("core: REM phi must exceed 1")
 	}
 	return &REMResponder{
-		Gamma:          gamma,
-		Phi:            phi,
-		Target:         target,
-		DecreaseFactor: DefaultDecreaseFactor,
-		sig:            NewSignal(DefaultHistoryWeight),
-		rng:            rng,
+		respond: newRespond(rng, DefaultHistoryWeight, DefaultDecreaseFactor),
+		Gamma:   gamma,
+		Phi:     phi,
+		Target:  target,
 	}
 }
-
-// Signal implements Responder.
-func (r *REMResponder) Signal() *Signal { return r.sig }
 
 // Price returns the current REM price (for tests and instrumentation).
 func (r *REMResponder) Price() float64 { return r.price }
 
-// P returns the current response probability.
+// P implements Responder.
 func (r *REMResponder) P() float64 {
 	return 1 - math.Pow(r.Phi, -r.price)
 }
@@ -165,18 +125,5 @@ func (r *REMResponder) OnRTT(now sim.Time, rtt sim.Duration) Decision {
 	r.sig.Observe(rtt)
 	err := (r.sig.QueueingDelay() - r.Target).Seconds()
 	r.price = math.Max(0, r.price+r.Gamma*err)
-	p := r.P()
-	d := Decision{Prob: p, Factor: r.DecreaseFactor}
-	if p <= 0 {
-		return d
-	}
-	if r.hasResp && now-r.lastResp < r.sig.SRTT() {
-		return d
-	}
-	if r.rng.Float64() < p {
-		d.Respond = true
-		r.lastResp = now
-		r.hasResp = true
-	}
-	return d
+	return r.decide(now, r.P(), 1)
 }

@@ -132,7 +132,7 @@ func TestDefaultCurveMatchesPaper(t *testing.T) {
 // advance the signal.
 func TestREDResponderProberConsistency(t *testing.T) {
 	r := NewREDResponder(rand.New(rand.NewSource(1)))
-	var _ Prober = r // compile-time: REDResponder exposes its probability
+	var _ Responder = r // compile-time: REDResponder exposes its probability
 	now := sim.Time(0)
 	// Establish P = 40 ms, then push srtt up with 55 ms samples.
 	for i := 0; i < 400; i++ {
@@ -225,5 +225,5 @@ func TestPIResponderMonotoneInDelay(t *testing.T) {
 		t.Fatalf("larger delay sample lowered p: %v < %v", b.P(), a.P())
 	}
 
-	var _ Prober = r // PI responder exposes its probability too
+	var _ Responder = r // PI responder exposes its probability too
 }

@@ -2,15 +2,33 @@ package core
 
 import "pert/internal/sim"
 
-// ResponseCurve maps the estimated queueing delay to a per-ACK response
-// probability, emulating gentle RED's marking curve at the end host
-// (Figure 5 of the paper):
+// Ramp is gentle RED's marking law, written once for every side that runs
+// it: router RED evaluates it over the average queue length in packets, and
+// the end-host emulation over the estimated queueing delay (Figure 5 of the
+// paper):
 //
-//	p = 0                                  for Tq <  Tmin
-//	p = Pmax*(Tq-Tmin)/(Tmax-Tmin)         for Tmin <= Tq < Tmax
-//	p = Pmax + (1-Pmax)*(Tq-Tmax)/Tmax     for Tmax <= Tq < 2*Tmax  (gentle)
-//	p = 1                                  for Tq >= 2*Tmax
+//	p = 0                              for x <  lo
+//	p = pmax*(x-lo)/(hi-lo)            for lo <= x < hi
+//	p = pmax + (1-pmax)*(x-hi)/hi      for hi <= x < 2*hi  (gentle)
+//	p = 1                              for x >= 2*hi       (gentle)
 //
+// Without gentle the probability clips at pmax above hi.
+func Ramp(x, lo, hi, pmax float64, gentle bool) float64 {
+	switch {
+	case x < lo:
+		return 0
+	case x < hi:
+		return pmax * (x - lo) / (hi - lo)
+	case !gentle:
+		return pmax
+	case x < 2*hi:
+		return pmax + (1-pmax)*(x-hi)/hi
+	default:
+		return 1
+	}
+}
+
+// ResponseCurve is the end host's Ramp over the estimated queueing delay.
 // Thresholds are queueing delays relative to the flow's propagation-delay
 // estimate; the paper uses Tmin = 5 ms, Tmax = 10 ms, Pmax = 0.05.
 type ResponseCurve struct {
@@ -34,16 +52,5 @@ func DefaultCurve() ResponseCurve {
 
 // Prob returns the response probability for estimated queueing delay tq.
 func (c ResponseCurve) Prob(tq sim.Duration) float64 {
-	switch {
-	case tq < c.Tmin:
-		return 0
-	case tq < c.Tmax:
-		return c.Pmax * float64(tq-c.Tmin) / float64(c.Tmax-c.Tmin)
-	case !c.Gentle:
-		return c.Pmax
-	case tq < 2*c.Tmax:
-		return c.Pmax + (1-c.Pmax)*float64(tq-c.Tmax)/float64(c.Tmax)
-	default:
-		return 1
-	}
+	return Ramp(float64(tq), float64(c.Tmin), float64(c.Tmax), c.Pmax, c.Gentle)
 }

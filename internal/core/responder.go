@@ -28,17 +28,12 @@ type Responder interface {
 	// OnRTT offers one per-ACK instantaneous RTT sample and returns the
 	// response decision.
 	OnRTT(now sim.Time, rtt sim.Duration) Decision
+	// P returns the response probability currently in effect. Pure read: it
+	// advances neither the signal nor the rate limiter, so the observability
+	// layer can export it as the PERT probability series.
+	P() float64
 	// Signal exposes the underlying congestion predictor.
 	Signal() *Signal
-}
-
-// Prober is implemented by responders that can report their current response
-// probability without consuming an RTT sample. The observability layer uses
-// it to export the PERT probability series; both bundled responders
-// implement it.
-type Prober interface {
-	// P returns the response probability currently in effect.
-	P() float64
 }
 
 // DefaultDecreaseFactor is the paper's early-response multiplicative decrease
@@ -46,16 +41,12 @@ type Prober interface {
 // the conservative goal of keeping the queue under half of a one-BDP buffer.
 const DefaultDecreaseFactor = 0.35
 
-// REDResponder emulates gentle RED/ECN at the end host: probability from a
-// ResponseCurve over the srtt_0.99 queueing-delay estimate.
-type REDResponder struct {
-	Curve          ResponseCurve
+// respond is the end-host half every emulated AQM shares: the congestion
+// signal, the coin's generator, the decrease factor, and the gate that turns
+// a probability into at most one early response per spacing interval. Each
+// responder keeps only its own law for the probability.
+type respond struct {
 	DecreaseFactor float64
-	// MinInterval, when non-zero, overrides the once-per-RTT limit with a
-	// fixed spacing (used by ablations; leave zero for the paper's rule).
-	MinInterval sim.Duration
-	// Unlimited disables response rate-limiting entirely (ablation).
-	Unlimited bool
 
 	sig      *Signal
 	rng      *rand.Rand
@@ -63,68 +54,79 @@ type REDResponder struct {
 	hasResp  bool
 }
 
+func newRespond(rng *rand.Rand, weight, decrease float64) respond {
+	return respond{DecreaseFactor: decrease, sig: NewSignal(weight), rng: rng}
+}
+
+// Signal implements Responder.
+func (g *respond) Signal() *Signal { return g.sig }
+
+// decide flips a coin biased to p, provided at least rtts smoothed round
+// trips have passed since the previous response (0 lifts the limit), and
+// records a response. Most ACKs see p = 0, so that test inlines into each
+// OnRTT and the rest, including reading the spacing, stays out of line in
+// flip.
+func (g *respond) decide(now sim.Time, p float64, rtts int) Decision {
+	if p > 0 {
+		return g.flip(now, p, rtts)
+	}
+	return Decision{Prob: p, Factor: g.DecreaseFactor}
+}
+
+func (g *respond) flip(now sim.Time, p float64, rtts int) Decision {
+	d := Decision{Prob: p, Factor: g.DecreaseFactor}
+	if g.spaced(now, rtts) && g.rng.Float64() < p {
+		g.fire(now, &d)
+	}
+	return d
+}
+
+// spaced reports whether at least rtts smoothed round trips have passed
+// since the last response.
+func (g *respond) spaced(now sim.Time, rtts int) bool {
+	return !g.hasResp || now-g.lastResp >= g.sig.SRTT()*sim.Duration(rtts)
+}
+
+// fire records a response at now.
+func (g *respond) fire(now sim.Time, d *Decision) {
+	d.Respond = true
+	g.lastResp = now
+	g.hasResp = true
+}
+
+// REDResponder emulates gentle RED/ECN at the end host: probability from a
+// ResponseCurve over the srtt_0.99 queueing-delay estimate.
+type REDResponder struct {
+	respond
+	Curve ResponseCurve
+	// Unlimited disables response rate-limiting entirely (ablation).
+	Unlimited bool
+}
+
 // NewREDResponder builds the paper's standard PERT responder with history
 // weight 0.99, the default curve, and a 35% decrease.
 func NewREDResponder(rng *rand.Rand) *REDResponder {
-	return &REDResponder{
-		Curve:          DefaultCurve(),
-		DecreaseFactor: DefaultDecreaseFactor,
-		sig:            NewSignal(DefaultHistoryWeight),
-		rng:            rng,
-	}
+	return NewREDResponderWith(rng, DefaultCurve(), DefaultHistoryWeight, DefaultDecreaseFactor)
 }
 
 // NewREDResponderWith builds a responder with explicit parameters (used by
 // ablation benchmarks).
 func NewREDResponderWith(rng *rand.Rand, curve ResponseCurve, weight, decrease float64) *REDResponder {
-	return &REDResponder{
-		Curve:          curve,
-		DecreaseFactor: decrease,
-		sig:            NewSignal(weight),
-		rng:            rng,
-	}
+	return &REDResponder{respond: newRespond(rng, weight, decrease), Curve: curve}
 }
 
-// Signal implements Responder.
-func (r *REDResponder) Signal() *Signal { return r.sig }
-
-// P implements Prober: the response probability the curve assigns to the
-// current queueing-delay estimate. Pure read; it does not advance the signal
-// or the once-per-RTT limiter.
+// P implements Responder: the response probability the curve assigns to the
+// current queueing-delay estimate.
 func (r *REDResponder) P() float64 { return r.Curve.Prob(r.sig.QueueingDelay()) }
 
 // OnRTT implements Responder.
 func (r *REDResponder) OnRTT(now sim.Time, rtt sim.Duration) Decision {
 	r.sig.Observe(rtt)
-	p := r.Curve.Prob(r.sig.QueueingDelay())
-	d := Decision{Prob: p, Factor: r.DecreaseFactor}
-	if p <= 0 {
-		return d
-	}
-	if !r.allowed(now) {
-		return d
-	}
-	if r.rng.Float64() < p {
-		d.Respond = true
-		r.lastResp = now
-		r.hasResp = true
-	}
-	return d
-}
-
-// allowed applies the once-per-RTT (or configured) response spacing.
-func (r *REDResponder) allowed(now sim.Time) bool {
+	rtts := 1
 	if r.Unlimited {
-		return true
+		rtts = 0
 	}
-	if !r.hasResp {
-		return true
-	}
-	gap := r.MinInterval
-	if gap == 0 {
-		gap = r.sig.SRTT()
-	}
-	return now-r.lastResp >= gap
+	return r.decide(now, r.Curve.Prob(r.sig.QueueingDelay()), rtts)
 }
 
 // PIResponder emulates the PI AQM of Hollot et al. at the end host
@@ -138,17 +140,13 @@ func (r *REDResponder) allowed(now sim.Time) bool {
 // equation (19) swaps beta and gamma relative to its own equation (18); we
 // implement the standard discretization, which matches (18).)
 type PIResponder struct {
-	Gamma, Beta    float64 // per-second coefficients applied to delay error
-	Target         sim.Duration
-	DecreaseFactor float64
+	respond
+	Gamma, Beta float64 // per-second coefficients applied to delay error
+	Target      sim.Duration
 
-	sig      *Signal
-	rng      *rand.Rand
 	p        float64
 	prevErr  float64
 	havePrev bool
-	lastResp sim.Time
-	hasResp  bool
 }
 
 // PIParams are the continuous-time PI constants of equation (16)/(21).
@@ -181,20 +179,15 @@ func DesignPERTPI(cPPS float64, nMin int, rMax sim.Duration) PIParams {
 func NewPIResponder(rng *rand.Rand, params PIParams, delta, target sim.Duration) *PIResponder {
 	d := delta.Seconds()
 	return &PIResponder{
-		Gamma:          params.K/params.M + params.K*d/2,
-		Beta:           params.K/params.M - params.K*d/2,
-		Target:         target,
-		DecreaseFactor: DefaultDecreaseFactor,
-		sig:            NewSignal(DefaultHistoryWeight),
-		rng:            rng,
+		respond: newRespond(rng, DefaultHistoryWeight, DefaultDecreaseFactor),
+		Gamma:   params.K/params.M + params.K*d/2,
+		Beta:    params.K/params.M - params.K*d/2,
+		Target:  target,
 	}
 }
 
-// P returns the current response probability (for instrumentation).
+// P implements Responder.
 func (r *PIResponder) P() float64 { return r.p }
-
-// Signal implements Responder.
-func (r *PIResponder) Signal() *Signal { return r.sig }
 
 // OnRTT implements Responder.
 func (r *PIResponder) OnRTT(now sim.Time, rtt sim.Duration) Decision {
@@ -211,18 +204,5 @@ func (r *PIResponder) OnRTT(now sim.Time, rtt sim.Duration) Decision {
 	} else if r.p > 1 {
 		r.p = 1
 	}
-
-	d := Decision{Prob: r.p, Factor: r.DecreaseFactor}
-	if r.p <= 0 {
-		return d
-	}
-	if r.hasResp && now-r.lastResp < r.sig.SRTT() {
-		return d
-	}
-	if r.rng.Float64() < r.p {
-		d.Respond = true
-		r.lastResp = now
-		r.hasResp = true
-	}
-	return d
+	return r.decide(now, r.p, 1)
 }

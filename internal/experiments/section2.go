@@ -223,8 +223,8 @@ func Fig4(ctx context.Context, scale Scale) (*Table, error) {
 		smoother func() predictors.Smoother
 	}{
 		{"inst-rtt", func() predictors.Smoother { return nil }},
-		{"ewma-0.875", func() predictors.Smoother { return &predictors.EWMASmoother{W: 0.875} }},
-		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{W: 0.99} }},
+		{"ewma-0.875", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.875}} }},
+		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.99}} }},
 	}
 	hists := make([]*stats.Histogram, len(signals))
 	for i := range hists {
@@ -293,7 +293,7 @@ func ExtThreshold(ctx context.Context, scale Scale) (*Table, error) {
 		smoother func() predictors.Smoother
 	}{
 		{"inst-rtt", func() predictors.Smoother { return nil }},
-		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{W: 0.99} }},
+		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.99}} }},
 	}
 	for _, marginMs := range []float64{1, 2, 5, 10, 20} {
 		for _, sig := range signals {

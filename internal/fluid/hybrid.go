@@ -26,7 +26,8 @@ type HybridInputs struct {
 
 // HybridSystem builds the three-state DDE (14) with the measured packet
 // arrival rate added to the queue equation. With in.PacketRate nil or
-// returning 0 the system is exactly System().
+// returning 0 the system is exactly System(); it is the one right-hand side
+// of the PERT/RED model.
 func (p PERTParams) HybridSystem(in HybridInputs) *System {
 	L := p.L()
 	K := p.K()
@@ -35,13 +36,7 @@ func (p PERTParams) HybridSystem(in HybridInputs) *System {
 		MaxLag: p.R,
 		F: func(_ float64, x []float64, delayed func(float64, int) float64, dx []float64) {
 			wLag := delayed(p.R, 0)
-			tqLag := delayed(p.R, 2)
-			prob := L * (tqLag - p.Tmin)
-			if prob < 0 {
-				prob = 0
-			} else if prob > 1 {
-				prob = 1
-			}
+			prob := linear(L, delayed(p.R, 2), p.Tmin)
 			rate := 0.0
 			if in.PacketRate != nil {
 				rate = in.PacketRate()
@@ -50,17 +45,7 @@ func (p PERTParams) HybridSystem(in HybridInputs) *System {
 			dx[1] = p.N/(p.R*p.C)*x[0] - 1 + rate/p.C
 			dx[2] = K*x[2] - K*x[1]
 		},
-		Clamp: func(x []float64) {
-			if x[0] < 0 {
-				x[0] = 0
-			}
-			if x[1] < 0 {
-				x[1] = 0
-			}
-			if x[2] < 0 {
-				x[2] = 0
-			}
-		},
+		Clamp: clampNonNeg,
 	}
 }
 

@@ -31,39 +31,37 @@ func (p PERTParams) Equilibrium() (wStar, pStar, tqStar float64) {
 	return
 }
 
+// Prob returns the end hosts' response probability at smoothed queueing
+// delay tqHat: the linear response curve L·(T̂q−Tmin), clamped to [0,1].
+func (p PERTParams) Prob(tqHat float64) float64 { return linear(p.L(), tqHat, p.Tmin) }
+
 // System builds the three-state DDE (14): x1 = W (window, packets),
 // x2 = actual queueing delay (seconds), x3 = smoothed queueing delay
-// perceived by the end host (seconds).
-func (p PERTParams) System() *System {
-	L := p.L()
-	K := p.K()
-	return &System{
-		Dim:    3,
-		MaxLag: p.R,
-		F: func(_ float64, x []float64, delayed func(float64, int) float64, dx []float64) {
-			wLag := delayed(p.R, 0)
-			tqLag := delayed(p.R, 2)
-			prob := L * (tqLag - p.Tmin)
-			if prob < 0 {
-				prob = 0
-			} else if prob > 1 {
-				prob = 1
-			}
-			dx[0] = 1/p.R - prob*x[0]*wLag/(2*p.R)
-			dx[1] = p.N/(p.R*p.C)*x[0] - 1
-			dx[2] = K*x[2] - K*x[1]
-		},
-		Clamp: func(x []float64) {
-			if x[0] < 0 {
-				x[0] = 0
-			}
-			if x[1] < 0 {
-				x[1] = 0
-			}
-			if x[2] < 0 {
-				x[2] = 0
-			}
-		},
+// perceived by the end host (seconds). It is HybridSystem with no packet
+// arrivals.
+func (p PERTParams) System() *System { return p.HybridSystem(HybridInputs{}) }
+
+// linear is the marking law every fluid model of a RED-like AQM shares: the
+// probability L·(x−lo) of the curve's linear segment, clamped to [0,1]. PERT
+// evaluates it over the smoothed queueing delay, router RED over the average
+// queue length.
+func linear(L, x, lo float64) float64 {
+	prob := L * (x - lo)
+	if prob < 0 {
+		return 0
+	} else if prob > 1 {
+		return 1
+	}
+	return prob
+}
+
+// clampNonNeg floors every state component at zero: windows, queues and
+// their averages cannot go negative.
+func clampNonNeg(x []float64) {
+	for i := range x {
+		if x[i] < 0 {
+			x[i] = 0
+		}
 	}
 }
 

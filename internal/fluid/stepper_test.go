@@ -123,27 +123,66 @@ func TestStepperBoundedHistory(t *testing.T) {
 	}
 }
 
+// systemRef is the plain PERT/RED system (14) written out on its own, without
+// the packet-arrival term, the shared marking law or the shared clamp, kept
+// as the naive reference HybridSystem must reproduce bit for bit.
+func systemRef(p PERTParams) *System {
+	L := p.L()
+	K := p.K()
+	return &System{
+		Dim:    3,
+		MaxLag: p.R,
+		F: func(_ float64, x []float64, delayed func(float64, int) float64, dx []float64) {
+			wLag := delayed(p.R, 0)
+			tqLag := delayed(p.R, 2)
+			prob := L * (tqLag - p.Tmin)
+			if prob < 0 {
+				prob = 0
+			} else if prob > 1 {
+				prob = 1
+			}
+			dx[0] = 1/p.R - prob*x[0]*wLag/(2*p.R)
+			dx[1] = p.N/(p.R*p.C)*x[0] - 1
+			dx[2] = K*x[2] - K*x[1]
+		},
+		Clamp: func(x []float64) {
+			if x[0] < 0 {
+				x[0] = 0
+			}
+			if x[1] < 0 {
+				x[1] = 0
+			}
+			if x[2] < 0 {
+				x[2] = 0
+			}
+		},
+	}
+}
+
 // TestHybridSystemZeroRateMatchesPlain pins the metamorphic guarantee at the
-// model level: with no packet traffic the hybrid system integrates to the
-// exact trajectory of the plain PERT/RED system.
+// model level: with no packet traffic (no rate source, or one that reads 0)
+// the hybrid system integrates to the exact trajectory of the plain PERT/RED
+// system, here its independently written reference.
 func TestHybridSystemZeroRateMatchesPlain(t *testing.T) {
 	p := fig13Params(0.4)
-	plain := p.System()
-	hybrid := p.HybridSystem(HybridInputs{PacketRate: func() float64 { return 0 }})
+	plain := systemRef(p)
 	h := 1e-3
 	var plainX [][]float64
 	plain.Integrate([]float64{1, 1, 1}, 0, 30, h, func(_ float64, x []float64) {
 		plainX = append(plainX, append([]float64(nil), x...))
 	})
-	n := 0
-	hybrid.Integrate([]float64{1, 1, 1}, 0, 30, h, func(_ float64, x []float64) {
-		for i, v := range x {
-			if v != plainX[n][i] {
-				t.Fatalf("step %d x[%d]: hybrid %v != plain %v", n, i, v, plainX[n][i])
+	for _, in := range []HybridInputs{{}, {PacketRate: func() float64 { return 0 }}} {
+		hybrid := p.HybridSystem(in)
+		n := 0
+		hybrid.Integrate([]float64{1, 1, 1}, 0, 30, h, func(_ float64, x []float64) {
+			for i, v := range x {
+				if v != plainX[n][i] {
+					t.Fatalf("step %d x[%d]: hybrid %v != plain %v", n, i, v, plainX[n][i])
+				}
 			}
-		}
-		n++
-	})
+			n++
+		})
+	}
 }
 
 // TestHybridEquilibrium verifies the coupled system settles onto the

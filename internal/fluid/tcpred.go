@@ -42,24 +42,12 @@ func (p REDParams) System() *System {
 		MaxLag: p.R,
 		F: func(_ float64, x []float64, delayed func(float64, int) float64, dx []float64) {
 			wLag := delayed(p.R, 0)
-			avgLag := delayed(p.R, 2)
-			prob := L * (avgLag - p.MinTh)
-			if prob < 0 {
-				prob = 0
-			} else if prob > 1 {
-				prob = 1
-			}
+			prob := linear(L, delayed(p.R, 2), p.MinTh)
 			dx[0] = 1/p.R - prob*x[0]*wLag/(2*p.R)
 			dx[1] = p.N/p.R*x[0] - p.C
 			dx[2] = K*x[2] - K*x[1]
 		},
-		Clamp: func(x []float64) {
-			for i := range x {
-				if x[i] < 0 {
-					x[i] = 0
-				}
-			}
-		},
+		Clamp: clampNonNeg,
 	}
 }
 

@@ -172,13 +172,7 @@ func (fs *FluidSource) onTick(now sim.Time) {
 		fs.backlog = 0
 	}
 	fs.extra = sim.Seconds(fs.backlog / fs.par.C)
-	p := fs.par.L() * (x[2] - fs.par.Tmin)
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	fs.prob = p
+	fs.prob = fs.par.Prob(x[2])
 }
 
 // admit decides the fate of a real packet offered to the shared queue:

@@ -7,6 +7,7 @@
 package predictors
 
 import (
+	"pert/internal/core"
 	"pert/internal/sim"
 )
 
@@ -105,23 +106,14 @@ func (p *RelativeThreshold) Observe(s Sample) bool {
 	return v > p.min+p.Margin
 }
 
-// EWMASmoother is the exponentially weighted moving average with history
-// weight W (7/8 for TCP's RTO filter, 0.99 for the paper's srtt_0.99).
-type EWMASmoother struct {
-	W    float64
-	v    float64
-	init bool
-}
+// EWMASmoother is PERT's own srtt filter, core.EWMA, over RTT samples, with
+// history weight W (7/8 for TCP's RTO filter, 0.99 for the paper's
+// srtt_0.99).
+type EWMASmoother struct{ core.EWMA }
 
 // Update implements Smoother.
 func (e *EWMASmoother) Update(rtt sim.Duration) sim.Duration {
-	if !e.init {
-		e.init = true
-		e.v = float64(rtt)
-	} else {
-		e.v = e.W*e.v + (1-e.W)*float64(rtt)
-	}
-	return sim.Duration(e.v)
+	return sim.Duration(e.EWMA.Update(float64(rtt)))
 }
 
 // WindowSmoother is a sliding-window moving average over the last N samples
@@ -311,7 +303,7 @@ func Suite(margin sim.Duration, window int) []Predictor {
 		NewBFA(),
 		NewRelativeThreshold("inst-rtt", margin, nil),
 		NewRelativeThreshold("movavg-buf", margin, NewWindowSmoother(window)),
-		NewRelativeThreshold("ewma-0.875", margin, &EWMASmoother{W: 0.875}),
-		NewRelativeThreshold("ewma-0.99", margin, &EWMASmoother{W: 0.99}),
+		NewRelativeThreshold("ewma-0.875", margin, &EWMASmoother{EWMA: core.EWMA{W: 0.875}}),
+		NewRelativeThreshold("ewma-0.99", margin, &EWMASmoother{EWMA: core.EWMA{W: 0.99}}),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pert/internal/core"
 	"pert/internal/sim"
 )
 
@@ -105,7 +106,7 @@ func TestEWMASmootherSuppressesBlips(t *testing.T) {
 		}
 		tr.Samples = append(tr.Samples, Sample{T: t0, RTT: rtt, Cwnd: 10})
 	}
-	p := NewRelativeThreshold("ewma-0.99", ms(5), &EWMASmoother{W: 0.99})
+	p := NewRelativeThreshold("ewma-0.99", ms(5), &EWMASmoother{EWMA: core.EWMA{W: 0.99}})
 	res := Evaluate(p, tr, nil)
 	if res.BtoA != 0 || res.AtoB != 0 {
 		t.Fatalf("smoothed signal still transitioned: %+v", res.Transitions)
@@ -113,7 +114,7 @@ func TestEWMASmootherSuppressesBlips(t *testing.T) {
 }
 
 func TestEWMATracksPersistentShift(t *testing.T) {
-	p := NewRelativeThreshold("ewma-0.99", ms(5), &EWMASmoother{W: 0.99})
+	p := NewRelativeThreshold("ewma-0.99", ms(5), &EWMASmoother{EWMA: core.EWMA{W: 0.99}})
 	s := Sample{T: sim.Millisecond, RTT: ms(60)}
 	p.Observe(s)
 	// Persistent 20 ms queueing delay: the smoothed signal must cross

@@ -109,6 +109,3 @@ func (a *AdaptiveRED) adapt() {
 		r.cfg.MaxP *= a.Beta
 	}
 }
-
-// MaxP exposes the current adapted marking ceiling, for tests.
-func (a *AdaptiveRED) MaxP() float64 { return a.RED.cfg.MaxP }

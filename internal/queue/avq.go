@@ -14,23 +14,16 @@ import (
 // packet. The virtual capacity adapts so the link is driven to the desired
 // utilization gamma with an essentially empty real queue.
 type AVQ struct {
-	Limit int
+	aqm
 	Gamma float64 // desired utilization (default 0.98)
 	Alpha float64 // damping / adaptation gain (default 0.15)
-	ECN   bool
 
 	CapacityPPS float64
 
-	q    fifo
-	rng  *rand.Rand
 	vq   float64 // virtual queue occupancy, packets
 	vcap float64 // virtual capacity, packets/second
 	last sim.Time
 	init bool
-
-	EarlyDrops  uint64
-	ForcedDrops uint64
-	ECNMarks    uint64
 }
 
 // NewAVQ builds an AVQ queue for a link of the given rate.
@@ -38,23 +31,18 @@ func NewAVQ(limit int, capacityPPS float64, ecn bool, rng *rand.Rand) *AVQ {
 	if limit <= 0 || capacityPPS <= 0 {
 		panic("queue: AVQ requires positive limit and capacity")
 	}
+	// AVQ's virtual-queue decision is deterministic and draws nothing, but
+	// the generator is kept so it honors the same BindRand contract.
 	return &AVQ{
-		Limit:       limit,
+		aqm:         aqm{limit: limit, ecn: ecn, rng: rng},
 		Gamma:       0.98,
 		Alpha:       0.15,
-		ECN:         ecn,
 		CapacityPPS: capacityPPS,
-		rng:         rng,
 	}
 }
 
 // VirtualCapacity returns the current adapted virtual capacity in pkt/s.
 func (a *AVQ) VirtualCapacity() float64 { return a.vcap }
-
-// BindRand rebinds the RNG (see RED.BindRand). AVQ's virtual-queue decision
-// is deterministic and draws nothing today, but the discipline carries a
-// generator like its siblings, so it honors the same rebinding contract.
-func (a *AVQ) BindRand(rng *rand.Rand) { a.rng = rng }
 
 // Enqueue implements netem.Discipline, running the AVQ fluid update at each
 // arrival (the form given in the AVQ paper's pseudocode).
@@ -81,34 +69,21 @@ func (a *AVQ) Enqueue(p *netem.Packet, now sim.Time) bool {
 		a.vcap = a.CapacityPPS
 	}
 
-	if a.q.len() >= a.Limit {
-		a.ForcedDrops++
+	if a.full() {
 		return false
 	}
-	// Virtual buffer has the same size as the real one.
-	if a.vq+1 > float64(a.Limit) {
-		if a.ECN && p.ECT {
-			p.CE = true
-			a.ECNMarks++
-			a.q.push(p)
-			return true
+	// Virtual buffer has the same size as the real one; a packet that
+	// overflows it is signalled and, when marked, not counted into it.
+	if a.vq+1 > float64(a.limit) {
+		if !a.early(p) {
+			return false
 		}
-		a.EarlyDrops++
-		return false
+	} else {
+		a.vq++
 	}
-	a.vq++
 	a.q.push(p)
 	return true
 }
-
-// Dequeue implements netem.Discipline.
-func (a *AVQ) Dequeue(_ sim.Time) *netem.Packet { return a.q.pop() }
-
-// Len implements netem.Discipline.
-func (a *AVQ) Len() int { return a.q.len() }
-
-// Bytes implements netem.Discipline.
-func (a *AVQ) Bytes() int { return a.q.bytes }
 
 var _ netem.Discipline = (*AVQ)(nil)
 var _ netem.Discipline = (*REM)(nil)

@@ -14,7 +14,10 @@ import (
 // Limit that is never exceeded, nil from an empty Dequeue, and the marking
 // contract (CE may be set only inside Enqueue — Link.Send counts marks by
 // comparing CE across the Enqueue call, so a dequeue-time mark would go
-// uncounted).
+// uncounted). For the marking disciplines it also checks the counters their
+// shared action keeps: every offered packet is accepted or counted as an
+// early or forced drop, and ECNMarks counts exactly the packets accepted
+// with CE set (none with ECN off).
 func TestDisciplineConformance(t *testing.T) {
 	const limit = 32
 	makers := map[string]func(rng *rand.Rand) netem.Discipline{
@@ -31,12 +34,38 @@ func TestDisciplineConformance(t *testing.T) {
 		"pi": func(rng *rand.Rand) netem.Discipline {
 			return NewPI(limit, 8, PIGains{A: 1e-3, B: 0.9e-3, Interval: sim.Millisecond}, false, rng)
 		},
+		"pi-ecn": func(rng *rand.Rand) netem.Discipline {
+			return NewPI(limit, 8, PIGains{A: 1e-3, B: 0.9e-3, Interval: sim.Millisecond}, true, rng)
+		},
 		"rem": func(rng *rand.Rand) netem.Discipline {
 			return NewREM(limit, 1000, false, rng)
+		},
+		"rem-ecn": func(rng *rand.Rand) netem.Discipline {
+			return NewREM(limit, 1000, true, rng)
 		},
 		"avq": func(rng *rand.Rand) netem.Discipline {
 			return NewAVQ(limit, 1000, false, rng)
 		},
+		"avq-ecn": func(rng *rand.Rand) netem.Discipline {
+			return NewAVQ(limit, 1000, true, rng)
+		},
+	}
+	// counters returns a marking discipline's shared action, nil for
+	// DropTail, which keeps none.
+	counters := func(q netem.Discipline) *aqm {
+		switch q := q.(type) {
+		case *RED:
+			return &q.aqm
+		case *AdaptiveRED:
+			return &q.aqm
+		case *PI:
+			return &q.aqm
+		case *REM:
+			return &q.aqm
+		case *AVQ:
+			return &q.aqm
+		}
+		return nil
 	}
 
 	for name, mk := range makers {
@@ -48,6 +77,7 @@ func TestDisciplineConformance(t *testing.T) {
 				var model []*netem.Packet
 				ceAtEnqueue := map[uint64]bool{}
 				bytes := 0
+				var offered, accepted, marked uint64
 				now := sim.Time(0)
 				nextID := uint64(1)
 				for op := 0; op < 4000; op++ {
@@ -55,7 +85,12 @@ func TestDisciplineConformance(t *testing.T) {
 					if rng.Intn(3) > 0 { // 2/3 enqueue
 						p := &netem.Packet{ID: nextID, Size: 40 + rng.Intn(1400), ECT: rng.Intn(2) == 0}
 						nextID++
+						offered++
 						if q.Enqueue(p, now) {
+							accepted++
+							if p.CE {
+								marked++
+							}
 							model = append(model, p)
 							ceAtEnqueue[p.ID] = p.CE
 							bytes += p.Size
@@ -89,6 +124,16 @@ func TestDisciplineConformance(t *testing.T) {
 					}
 					if q.Len() > limit {
 						t.Fatalf("seed %d: limit exceeded: %d", seed, q.Len())
+					}
+					if a := counters(q); a != nil {
+						if offered != accepted+a.EarlyDrops+a.ForcedDrops {
+							t.Fatalf("seed %d op %d: offered %d != accepted %d + early %d + forced %d",
+								seed, op, offered, accepted, a.EarlyDrops, a.ForcedDrops)
+						}
+						if a.ECNMarks != marked || (!a.ecn && a.ECNMarks != 0) {
+							t.Fatalf("seed %d op %d: ECNMarks %d, %d accepted with CE (ECN %v)",
+								seed, op, a.ECNMarks, marked, a.ecn)
+						}
 					}
 				}
 			}

@@ -1,8 +1,10 @@
 // Package queue implements the queue-management disciplines the paper
 // evaluates against: DropTail, RED with gentle mode and ECN marking
-// (Floyd/Jacobson 1993), Adaptive RED (Floyd/Gummadi/Shenker 2001), and the
-// PI controller of Hollot et al. (INFOCOM 2001), together with the published
-// control-theoretic design rule for PI gains.
+// (Floyd/Jacobson 1993), Adaptive RED (Floyd/Gummadi/Shenker 2001), the PI
+// controller of Hollot et al. (INFOCOM 2001) with the published
+// control-theoretic design rule for its gains, REM (Athuraliya et al. 2001)
+// and AVQ (Kunniyur/Srikant 2001). The marking disciplines share one
+// mark-or-drop action (aqm) and differ only in their law for when to act.
 package queue
 
 import (

@@ -42,21 +42,14 @@ func DesignPI(cPPS float64, nMin int, rMax sim.Duration, freq float64) PIGains {
 // reference QRef, removing RED's steady-state error and its averaging-induced
 // sluggishness. Marking decisions are per-arrival with the current p.
 type PI struct {
-	Limit int
+	aqm
 	QRef  float64 // reference queue length, packets
 	Gains PIGains
-	ECN   bool
 
-	q    fifo
-	rng  *rand.Rand
 	p    float64 // current marking probability
 	qOld float64 // queue sample at previous controller update
 	last sim.Time
 	init bool
-
-	EarlyDrops  uint64
-	ForcedDrops uint64
-	ECNMarks    uint64
 }
 
 // NewPI returns a PI queue with hard capacity limit packets and reference
@@ -68,15 +61,11 @@ func NewPI(limit int, qref float64, g PIGains, ecn bool, rng *rand.Rand) *PI {
 	if g.Interval <= 0 {
 		panic("queue: PI gains require a positive sampling interval")
 	}
-	return &PI{Limit: limit, QRef: qref, Gains: g, ECN: ecn, rng: rng}
+	return &PI{aqm: aqm{limit: limit, ecn: ecn, rng: rng}, QRef: qref, Gains: g}
 }
 
 // P returns the controller's current marking probability.
 func (pi *PI) P() float64 { return pi.p }
-
-// BindRand rebinds the marking RNG (see RED.BindRand); called by
-// netem.Partition before any traffic flows.
-func (pi *PI) BindRand(rng *rand.Rand) { pi.rng = rng }
 
 // update advances the controller to time now, applying one step per elapsed
 // sampling interval. Running the difference equation on the arrival path
@@ -109,28 +98,12 @@ func (pi *PI) update(now sim.Time) {
 // Enqueue implements netem.Discipline.
 func (pi *PI) Enqueue(p *netem.Packet, now sim.Time) bool {
 	pi.update(now)
-	if pi.q.len() >= pi.Limit {
-		pi.ForcedDrops++
+	if pi.full() {
 		return false
 	}
-	if pi.p > 0 && pi.rng.Float64() < pi.p {
-		if pi.ECN && p.ECT {
-			p.CE = true
-			pi.ECNMarks++
-		} else {
-			pi.EarlyDrops++
-			return false
-		}
+	if pi.p > 0 && pi.rng.Float64() < pi.p && !pi.early(p) {
+		return false
 	}
 	pi.q.push(p)
 	return true
 }
-
-// Dequeue implements netem.Discipline.
-func (pi *PI) Dequeue(_ sim.Time) *netem.Packet { return pi.q.pop() }
-
-// Len implements netem.Discipline.
-func (pi *PI) Len() int { return pi.q.len() }
-
-// Bytes implements netem.Discipline.
-func (pi *PI) Bytes() int { return pi.q.bytes }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"pert/internal/core"
 	"pert/internal/netem"
 	"pert/internal/sim"
 )
@@ -65,44 +66,31 @@ func (c *REDConfig) applyDefaults() {
 // the standard idle-period compensation that decays the average as if empty-
 // queue departures had been observed.
 type RED struct {
+	aqm
 	cfg REDConfig
-	q   fifo
-	rng *rand.Rand
 
 	avg       float64
 	count     int // packets since last mark/drop while in marking region
 	idleSince sim.Time
 	idle      bool
-
-	// Cumulative decision counters, exported for tests and instrumentation.
-	EarlyDrops  uint64
-	ForcedDrops uint64
-	ECNMarks    uint64
 }
 
 // NewRED returns a RED queue. rng drives marking decisions; pass the
 // simulation engine's generator for reproducible runs.
 func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 	cfg.applyDefaults()
-	return &RED{cfg: cfg, rng: rng, idle: true}
+	return &RED{aqm: aqm{limit: cfg.Limit, ecn: cfg.ECN, rng: rng}, cfg: cfg, idle: true}
 }
 
 // Config returns the effective configuration after defaulting.
 func (r *RED) Config() REDConfig { return r.cfg }
 
-// BindRand rebinds the marking RNG. netem.Partition calls this to move a
-// queue's randomness onto its owning shard's engine; for the domain-0 links
-// of a topology built on engine 0 the new generator is the same object the
-// queue was constructed with, so serial draw order is untouched. Must not be
-// called after traffic has flowed.
-func (r *RED) BindRand(rng *rand.Rand) { r.rng = rng }
-
 // AvgQueue returns the current average queue estimate in packets.
 func (r *RED) AvgQueue() float64 { return r.avg }
 
-// MaxP returns the marking probability currently in effect at MaxTh. For
-// plain RED it is the configured constant; AdaptiveRED shadows this with the
-// live adapted value. Exposed for instrumentation.
+// MaxP returns the marking probability currently in effect at MaxTh: the
+// configured constant for plain RED, the live adapted value under
+// AdaptiveRED. Exposed for instrumentation.
 func (r *RED) MaxP() float64 { return r.cfg.MaxP }
 
 // updateAvg advances the average queue estimate for an arrival at time now.
@@ -122,29 +110,12 @@ func (r *RED) updateAvg(now sim.Time) {
 	r.avg = (1-r.cfg.Wq)*r.avg + r.cfg.Wq*float64(r.q.len())
 }
 
-// markProb returns the packet-marking probability for the current average,
-// before the count correction.
-func (r *RED) markProb() float64 {
-	c := &r.cfg
-	switch {
-	case r.avg < c.MinTh:
-		return 0
-	case r.avg < c.MaxTh:
-		return c.MaxP * (r.avg - c.MinTh) / (c.MaxTh - c.MinTh)
-	case c.Gentle && r.avg < 2*c.MaxTh:
-		return c.MaxP + (1-c.MaxP)*(r.avg-c.MaxTh)/c.MaxTh
-	default:
-		return 1
-	}
-}
-
 // Enqueue implements netem.Discipline.
 func (r *RED) Enqueue(p *netem.Packet, now sim.Time) bool {
 	r.updateAvg(now)
 	c := &r.cfg
 
-	if r.q.len() >= c.Limit {
-		r.ForcedDrops++
+	if r.full() {
 		return false
 	}
 
@@ -155,17 +126,13 @@ func (r *RED) Enqueue(p *netem.Packet, now sim.Time) bool {
 		return false
 	}
 
-	if pb := r.markProb(); pb > 0 {
+	if pb := core.Ramp(r.avg, c.MinTh, c.MaxTh, c.MaxP, c.Gentle); pb > 0 {
 		r.count++
 		// Uniformize inter-mark spacing (RED's count correction).
 		pa := pb / math.Max(1e-12, 1-float64(r.count)*pb)
 		if float64(r.count)*pb >= 1 || r.rng.Float64() < pa {
 			r.count = 0
-			if c.ECN && p.ECT {
-				p.CE = true
-				r.ECNMarks++
-			} else {
-				r.EarlyDrops++
+			if !r.early(p) {
 				return false
 			}
 		}
@@ -177,7 +144,7 @@ func (r *RED) Enqueue(p *netem.Packet, now sim.Time) bool {
 	return true
 }
 
-// Dequeue implements netem.Discipline.
+// Dequeue implements netem.Discipline, noting when the queue goes idle.
 func (r *RED) Dequeue(now sim.Time) *netem.Packet {
 	p := r.q.pop()
 	if p != nil && r.q.len() == 0 {
@@ -186,9 +153,3 @@ func (r *RED) Dequeue(now sim.Time) *netem.Packet {
 	}
 	return p
 }
-
-// Len implements netem.Discipline.
-func (r *RED) Len() int { return r.q.len() }
-
-// Bytes implements netem.Discipline.
-func (r *RED) Bytes() int { return r.q.bytes }

@@ -15,27 +15,20 @@ import (
 // 1 - Phi^(-price), which factors across links of a path — the property REM
 // is known for.
 type REM struct {
-	Limit  int
+	aqm
 	Gamma  float64 // price step size
 	Phi    float64 // probability base, > 1
 	Alpha  float64 // weight of the backlog term
 	BRef   float64 // target backlog, packets
 	Period sim.Duration
-	ECN    bool
 
 	CapacityPPS float64 // link rate in packets/second
 
-	q        fifo
-	rng      *rand.Rand
 	price    float64
 	arrivals uint64
 	lastArr  uint64
 	last     sim.Time
 	init     bool
-
-	EarlyDrops  uint64
-	ForcedDrops uint64
-	ECNMarks    uint64
 }
 
 // NewREM builds a REM queue with the published defaults: gamma = 0.001,
@@ -45,24 +38,18 @@ func NewREM(limit int, capacityPPS float64, ecn bool, rng *rand.Rand) *REM {
 		panic("queue: REM requires positive limit and capacity")
 	}
 	return &REM{
-		Limit:       limit,
+		aqm:         aqm{limit: limit, ecn: ecn, rng: rng},
 		Gamma:       0.001,
 		Phi:         1.001,
 		Alpha:       0.1,
 		BRef:        20,
 		Period:      10 * sim.Millisecond,
-		ECN:         ecn,
 		CapacityPPS: capacityPPS,
-		rng:         rng,
 	}
 }
 
 // Price returns the current link price.
 func (r *REM) Price() float64 { return r.price }
-
-// BindRand rebinds the marking RNG (see RED.BindRand); called by
-// netem.Partition before any traffic flows.
-func (r *REM) BindRand(rng *rand.Rand) { r.rng = rng }
 
 // P returns the current marking probability.
 func (r *REM) P() float64 { return 1 - math.Pow(r.Phi, -r.price) }
@@ -89,28 +76,12 @@ func (r *REM) update(now sim.Time) {
 func (r *REM) Enqueue(p *netem.Packet, now sim.Time) bool {
 	r.update(now)
 	r.arrivals++
-	if r.q.len() >= r.Limit {
-		r.ForcedDrops++
+	if r.full() {
 		return false
 	}
-	if pr := r.P(); pr > 0 && r.rng.Float64() < pr {
-		if r.ECN && p.ECT {
-			p.CE = true
-			r.ECNMarks++
-		} else {
-			r.EarlyDrops++
-			return false
-		}
+	if pr := r.P(); pr > 0 && r.rng.Float64() < pr && !r.early(p) {
+		return false
 	}
 	r.q.push(p)
 	return true
 }
-
-// Dequeue implements netem.Discipline.
-func (r *REM) Dequeue(_ sim.Time) *netem.Packet { return r.q.pop() }
-
-// Len implements netem.Discipline.
-func (r *REM) Len() int { return r.q.len() }
-
-// Bytes implements netem.Discipline.
-func (r *REM) Bytes() int { return r.q.bytes }

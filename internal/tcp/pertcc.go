@@ -61,19 +61,14 @@ func (p *PERT) Init(c *Conn) {
 // Probe reports the responder's current congestion view for instrumentation:
 // the perceived queueing delay in seconds and the response probability in
 // effect. ok is false before Init has constructed the responder (no ACK has
-// been processed yet), or when the responder cannot report a probability.
-// Pure read — probing never advances the signal, the rate limiter, or any
-// RNG.
+// been processed yet). Pure read — probing never advances the signal, the
+// rate limiter, or any RNG.
 func (p *PERT) Probe() (qdelay, prob float64, ok bool) {
 	r := p.Responder
 	if r == nil {
 		return 0, 0, false
 	}
-	pr, isProber := r.(core.Prober)
-	if !isProber {
-		return 0, 0, false
-	}
-	return r.Signal().QueueingDelay().Seconds(), pr.P(), true
+	return r.Signal().QueueingDelay().Seconds(), r.P(), true
 }
 
 // OnAck implements CongestionControl: Reno-style growth plus the PERT early

@@ -1,3 +1,9 @@
+//go:build !race
+
+// A wall-clock ratio means nothing under the race detector's
+// instrumentation, so this file builds only without -race: it still runs in
+// plain `go test ./...` and `make bench-smoke`.
+
 package pert
 
 import (

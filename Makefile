@@ -54,12 +54,14 @@ bench-micro:
 
 # Fast benchmark sanity pass for CI: run each microbenchmark once, the
 # allocation-budget tests that pin the zero-alloc hot paths (including the
-# disabled-metrics path), and the metrics-overhead budget (<10% on the
-# benchmark dumbbell with sampling at the default interval; a wall-clock
+# disabled-metrics path, the SACK scoreboard, a drained queue's refill and a
+# web session's recycled transfers), and the metrics-overhead budget (<10% on
+# the benchmark dumbbell with sampling at the default interval; a wall-clock
 # ratio, so its file is excluded from -race builds and this is where it
 # gates).
 bench-smoke:
 	$(GO) test -run 'TestScheduleAllocBudget|TestLinkAllocBudget' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/netem/
+	$(GO) test -count=1 -run 'TestScoreboardAddAllocBudget|TestDropTailRefillAfterDrain|TestWebSessionAllocBudget' ./internal/tcp/ ./internal/queue/ ./internal/trafficgen/
 	$(GO) test -run 'TestMetricsOverheadSmoke' -bench 'BenchmarkSimulatedSecond' -benchtime=1x -benchmem .
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own, so the root

@@ -205,15 +205,16 @@ func (n *Network) ComputeRoutes() {
 	for _, node := range n.Nodes {
 		node.next = make([]*Link, size)
 	}
+	// One visited set and one index-headed queue serve every BFS: each node
+	// enters the queue at most once per destination, so size slots suffice.
+	visited := make([]bool, size)
 	queue := make([]NodeID, 0, size)
 	for dst := range n.Nodes {
-		visited := make([]bool, size)
+		clear(visited)
 		visited[dst] = true
-		queue = queue[:0]
-		queue = append(queue, NodeID(dst))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], NodeID(dst))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			for _, l := range in[v] {
 				u := l.From.ID
 				if visited[u] {

@@ -33,8 +33,13 @@ func (f *fifo) pop() *netem.Packet {
 	f.pkts[f.head] = nil
 	f.head++
 	f.bytes -= p.Size
-	// Reclaim space once the consumed prefix dominates.
-	if f.head > 64 && f.head*2 >= len(f.pkts) {
+	// Rewind whenever the queue drains, so a mostly idle queue reuses its
+	// first slots instead of growing; otherwise reclaim space once the
+	// consumed prefix dominates.
+	if f.head == len(f.pkts) {
+		f.pkts = f.pkts[:0]
+		f.head = 0
+	} else if f.head > 64 && f.head*2 >= len(f.pkts) {
 		n := copy(f.pkts, f.pkts[f.head:])
 		f.pkts = f.pkts[:n]
 		f.head = 0

@@ -52,6 +52,26 @@ func TestDropTailRefillAfterDrain(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("len=%d after drain", q.Len())
 	}
+
+	// A queue that drains rewinds to its first slot, so refills after any
+	// number of drains fit in the capacity of its high-water mark.
+	q = NewDropTail(5)
+	for i := 0; i < 5; i++ {
+		q.Enqueue(pkt(10), 0)
+	}
+	for q.Dequeue(0) != nil {
+	}
+	hw := cap(q.q.pkts)
+	for round := 0; round < 200; round++ {
+		for i := 0; i <= round%5; i++ {
+			q.Enqueue(pkt(10), 0)
+		}
+		for q.Dequeue(0) != nil {
+		}
+		if c := cap(q.q.pkts); c != hw || q.q.head != 0 {
+			t.Fatalf("round %d: capacity %d (high-water %d), head %d after drain", round, c, hw, q.q.head)
+		}
+	}
 }
 
 // Property: for any interleaving of enqueues and dequeues, DropTail preserves

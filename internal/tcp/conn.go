@@ -92,7 +92,7 @@ type Conn struct {
 	cc   CongestionControl
 	cfg  Config
 
-	rtt *RTTEstimator
+	rtt RTTEstimator
 
 	cwnd     float64
 	ssthresh float64
@@ -134,6 +134,19 @@ type Conn struct {
 // The caller must also create a Sink for the flow at the destination (or use
 // NewFlow, which does both).
 func NewConn(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, cc CongestionControl, cfg Config) *Conn {
+	c := &Conn{}
+	// The node's engine, not the network's: after a Partition the two
+	// differ, and every timer and transmission of this connection must run
+	// on the shard owning its node.
+	c.rtxTimer = node.Engine().NewTimer(c.onRTO)
+	c.reset(net, node, dst, flow, cc, cfg)
+	return c
+}
+
+// reset rebuilds every field of the connection from its arguments, as for a
+// new one. Only the persistent timer and the capacity of the scoreboard and
+// retransmission list survive; the caller guarantees the timer is stopped.
+func (c *Conn) reset(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, cc CongestionControl, cfg Config) {
 	if cfg.Payload == 0 {
 		cfg.Payload = DefaultPayload
 	}
@@ -146,10 +159,7 @@ func NewConn(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, c
 	if cfg.MaxBurst == 0 {
 		cfg.MaxBurst = 4
 	}
-	c := &Conn{
-		// The node's engine, not the network's: after a Partition the two
-		// differ, and every timer and transmission of this connection must
-		// run on the shard owning its node.
+	*c = Conn{
 		eng:      node.Engine(),
 		net:      net,
 		node:     node,
@@ -157,12 +167,13 @@ func NewConn(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, c
 		dst:      dst,
 		cc:       cc,
 		cfg:      cfg,
-		rtt:      NewRTTEstimator(),
+		rtt:      *NewRTTEstimator(),
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.MaxCwnd,
+		rtxList:  c.rtxList[:0],
+		sb:       Scoreboard{blocks: c.sb.blocks[:0]},
+		rtxTimer: c.rtxTimer,
 	}
-	c.rtxTimer = c.eng.NewTimer(c.onRTO)
-	return c
 }
 
 // Flow is a connected sender/receiver pair.
@@ -183,6 +194,29 @@ func NewFlow(net *netem.Network, src, dst *netem.Node, flow int, cc CongestionCo
 	return &Flow{Conn: c, Sink: s}
 }
 
+// Reuse turns a finished flow into a new one under a fresh flow ID, between
+// the same two nodes: both endpoints go through the same reset NewConn and
+// NewSink use, so the result is indistinguishable from NewFlow's, minus the
+// allocations. A nil Sink (a sender whose receiver another node's
+// SinkAcceptor owns) stays nil. The contract: both endpoints are closed, the
+// ID is new, and nothing retains the old *Conn or *Sink, whose identity the
+// new flow takes over. Reuse panics if the Conn has neither completed nor
+// been closed, and closes the Sink itself (a no-op if the caller did).
+func (f *Flow) Reuse(flow int, cc CongestionControl, cfg Config) {
+	c := f.Conn
+	if !c.completed {
+		panic("tcp: Reuse of a live flow")
+	}
+	c.reset(c.net, c.node, c.dst, flow, cc, cfg)
+	if s := f.Sink; s != nil {
+		s.Close()
+		s.reset(s.net, s.node, flow, s.peer, c.cfg.Payload)
+		if cfg.DelAck {
+			s.EnableDelAck(0)
+		}
+	}
+}
+
 // Start attaches the sender and begins transmitting at time at.
 func (f *Flow) Start(at sim.Time) { f.Conn.Start(at) }
 
@@ -193,16 +227,19 @@ func (f *Flow) Close() {
 }
 
 // Start schedules the connection to begin transmitting at time at.
-func (c *Conn) Start(at sim.Time) {
-	c.eng.At(at, func() {
-		if c.started {
-			return
-		}
-		c.started = true
-		c.node.AttachFlow(c.flow, c)
-		c.cc.Init(c)
-		c.trySend()
-	})
+func (c *Conn) Start(at sim.Time) { c.eng.Post(at, startConn, c) }
+
+// startConn is Start's event: a static function, so starting a connection
+// allocates no closure.
+func startConn(a any) {
+	c := a.(*Conn)
+	if c.started {
+		return
+	}
+	c.started = true
+	c.node.AttachFlow(c.flow, c)
+	c.cc.Init(c)
+	c.trySend()
 }
 
 // Close detaches the sender and cancels its timer.
@@ -229,7 +266,7 @@ func (c *Conn) Ssthresh() float64 { return c.ssthresh }
 func (c *Conn) SetSsthresh(s float64) { c.ssthresh = math.Max(2, s) }
 
 // RTT exposes the connection's RTT estimator.
-func (c *Conn) RTT() *RTTEstimator { return c.rtt }
+func (c *Conn) RTT() *RTTEstimator { return &c.rtt }
 
 // InRecovery reports whether the sender is in SACK-based loss recovery.
 func (c *Conn) InRecovery() bool { return c.inRecovery }

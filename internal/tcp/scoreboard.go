@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"sort"
 
 	"pert/internal/netem"
@@ -25,6 +26,8 @@ func (s *Scoreboard) Reset() {
 
 // Add merges one advertised SACK block into the scoreboard. Ranges at or
 // below the cumulative ACK point are ignored — they carry no new information.
+// The merge happens in place, so once the slice has grown to the episode's
+// block count Add allocates nothing.
 func (s *Scoreboard) Add(b netem.SackBlock) {
 	if b.Start < s.floor {
 		b.Start = s.floor
@@ -46,10 +49,12 @@ func (s *Scoreboard) Add(b netem.SackBlock) {
 		j++
 	}
 	s.count += b.End - b.Start
-	s.blocks = append(s.blocks[:i], append([]netem.SackBlock{b}, s.blocks[j:]...)...)
+	s.blocks = slices.Replace(s.blocks, i, j, b)
 }
 
 // AckedUpTo discards scoreboard state below the new cumulative ACK point.
+// Dropped blocks are shifted out rather than sliced off the front, so the
+// slice keeps its whole capacity for later Adds.
 func (s *Scoreboard) AckedUpTo(cum int64) {
 	if cum > s.floor {
 		s.floor = cum
@@ -59,7 +64,9 @@ func (s *Scoreboard) AckedUpTo(cum int64) {
 		s.count -= s.blocks[i].End - s.blocks[i].Start
 		i++
 	}
-	s.blocks = s.blocks[i:]
+	if i > 0 {
+		s.blocks = slices.Delete(s.blocks, 0, i)
+	}
 	if len(s.blocks) > 0 && s.blocks[0].Start < cum {
 		s.count -= cum - s.blocks[0].Start
 		s.blocks[0].Start = cum

@@ -168,6 +168,33 @@ func TestScoreboardModelProperty(t *testing.T) {
 	}
 }
 
+// TestScoreboardAddAllocBudget: Add inserts and merges in place and
+// AckedUpTo shifts acknowledged blocks out instead of slicing them off, so a
+// scoreboard going through loss episode after loss episode allocates nothing
+// once its slice has grown to an episode's block count.
+func TestScoreboardAddAllocBudget(t *testing.T) {
+	var s Scoreboard
+	base := int64(0)
+	episode := func() {
+		for _, k := range []int64{14, 2, 8, 11, 5, 17, 23, 20} {
+			s.Add(blk(base+k, base+k+1)) // out-of-order inserts
+		}
+		s.Add(blk(base+3, base+5))  // bridges two blocks
+		s.Add(blk(base+9, base+11)) // extends one
+		s.AckedUpTo(base + 10)      // drops a prefix mid-episode
+		s.Add(blk(base+26, base+28))
+		base += 30
+		s.AckedUpTo(base)
+	}
+	episode()
+	if allocs := testing.AllocsPerRun(100, episode); allocs != 0 {
+		t.Fatalf("a warm scoreboard allocates %.1f times per loss episode, budget is 0", allocs)
+	}
+	if n := len(s.Blocks()); n != 0 || s.SackedCount() != 0 {
+		t.Fatalf("%d blocks, %d segments left after the last episode was acked", n, s.SackedCount())
+	}
+}
+
 func TestRTTEstimator(t *testing.T) {
 	e := NewRTTEstimator()
 	if e.HasSample() {

@@ -69,12 +69,29 @@ func echoOf(p *netem.Packet) ackEcho {
 // NewSink creates a receiver for the given flow, attached to node, acking
 // back to peer.
 func NewSink(net *netem.Network, node *netem.Node, flow int, peer netem.NodeID, payloadPerSeg int) *Sink {
-	s := &Sink{node: node, net: net, flow: flow, peer: peer, payloadPerSeg: payloadPerSeg}
+	s := &Sink{}
 	// Node engine, not network engine: the sink's timers belong to the
 	// shard owning its node (see netem.Node.Engine).
 	s.delAckTimer = node.Engine().NewTimer(s.flushAck)
-	node.AttachFlow(flow, s)
+	s.reset(net, node, flow, peer, payloadPerSeg)
 	return s
+}
+
+// reset rebuilds every field of the sink from its arguments, as for a new
+// one, and attaches it under flow. Only the persistent timer and the
+// capacity of the reassembly scoreboard survive; the caller guarantees the
+// timer is stopped.
+func (s *Sink) reset(net *netem.Network, node *netem.Node, flow int, peer netem.NodeID, payloadPerSeg int) {
+	*s = Sink{
+		node:          node,
+		net:           net,
+		flow:          flow,
+		peer:          peer,
+		ooo:           Scoreboard{blocks: s.ooo.blocks[:0]},
+		delAckTimer:   s.delAckTimer,
+		payloadPerSeg: payloadPerSeg,
+	}
+	node.AttachFlow(flow, s)
 }
 
 // CumAck returns the receiver's next expected segment.
@@ -199,8 +216,12 @@ func (s *Sink) sendAck(m ackEcho) {
 	s.net.SendFrom(s.node, ack)
 }
 
-// Close detaches the sink from its node.
-func (s *Sink) Close() { s.node.DetachFlow(s.flow) }
+// Close detaches the sink from its node and cancels any pending delayed
+// ACK: a closed sink sends nothing.
+func (s *Sink) Close() {
+	s.delAckTimer.Stop()
+	s.node.DetachFlow(s.flow)
+}
 
 // SinkAcceptor lazily creates receive-side Sinks for flows whose sender
 // lives in another shard domain. A generator starting a connection mid-run

@@ -3,6 +3,7 @@ package trafficgen
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -201,5 +202,39 @@ func TestWebTrafficIsBursty(t *testing.T) {
 	meanSegs := float64(s.SegsRequested) / float64(s.Objects)
 	if meanSegs < 5 || meanSegs > 60 {
 		t.Fatalf("mean object = %v segs", meanSegs)
+	}
+}
+
+// TestWebSessionAllocBudget: a session recycles its transfers, so once its
+// first page is done it allocates nothing per object. The budget leaves room
+// for amortized growth: the demux maps churn through a new flow ID per
+// object, and the engine's slices and the packet pool grow to their
+// high-water marks. The window cap bounds the last: uncapped, every new
+// largest object of the heavy-tailed mix would raise it.
+func TestWebSessionAllocBudget(t *testing.T) {
+	eng := sim.NewEngine(21)
+	net := netem.NewNetwork(eng)
+	a, b := net.AddNode(), net.AddNode()
+	net.AddDuplexLink(a, b, 100e6, 5*sim.Millisecond, queue.NewDropTail(1000), queue.NewDropTail(1000))
+	net.ComputeRoutes()
+	done := 0
+	s := StartWebSession(net, NewIDs(), a, b, WebConfig{
+		MeanThink: 20 * sim.Millisecond,
+		Conn:      tcp.Config{MaxCwnd: 16},
+		OnObject:  func(int64, sim.Duration) { done++ },
+	}, 0)
+	for s.Pages < 2 {
+		eng.Run(eng.Now() + 10*sim.Millisecond)
+	}
+	const objects = 2000
+	first := done
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for done-first < objects {
+		eng.Run(eng.Now() + sim.Second)
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.Mallocs-m0.Mallocs) / float64(done-first); per >= 0.1 {
+		t.Fatalf("%.3f heap objects per web object over %d objects, budget is 0.1", per, done-first)
 	}
 }

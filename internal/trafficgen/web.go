@@ -76,6 +76,22 @@ type WebSession struct {
 
 	remaining   int // objects left on the current page
 	outstanding int // transfers currently in flight
+
+	// idle holds finished transfers for the next objects to reuse, so a
+	// session allocates one flow per concurrent transfer, not per object. A
+	// session runs on one engine, so the list is shard-local.
+	idle []*transfer
+}
+
+// transfer is one object fetch over a flow its session recycles. done is
+// bound once, when the record is built, and serves as every fetch's
+// OnComplete.
+type transfer struct {
+	w       *WebSession
+	f       tcp.Flow
+	segs    int64
+	started sim.Time
+	done    func(sim.Time)
 }
 
 // StartWebSession begins a session at time at. The session's timers and
@@ -106,15 +122,19 @@ func (w *WebSession) think() {
 	if w.stop {
 		return
 	}
-	delay := Exponential(w.eng.Rand(), w.cfg.MeanThink)
-	w.eng.After(delay, func() {
-		if w.stop {
-			return
-		}
-		w.Pages++
-		w.remaining = Geometric(w.eng.Rand(), w.cfg.ObjectsPerPage)
-		w.pump()
-	})
+	w.eng.PostAfter(Exponential(w.eng.Rand(), w.cfg.MeanThink), startPage, w)
+}
+
+// startPage ends a think time: a static function, so a page allocates no
+// closure.
+func startPage(a any) {
+	w := a.(*WebSession)
+	if w.stop {
+		return
+	}
+	w.Pages++
+	w.remaining = Geometric(w.eng.Rand(), w.cfg.ObjectsPerPage)
+	w.pump()
 }
 
 // pump launches object transfers until the page's parallelism budget is
@@ -134,7 +154,9 @@ func (w *WebSession) pump() {
 	}
 }
 
-// fetchOne transfers a single object over a fresh connection.
+// fetchOne transfers a single object over a fresh connection: a new flow
+// ID and controller on endpoints recycled from an earlier object when the
+// session has one idle.
 func (w *WebSession) fetchOne() {
 	segs := int64(Pareto(w.eng.Rand(), w.cfg.ParetoShape, w.cfg.MeanObjectSegs))
 	if segs < 1 {
@@ -142,30 +164,47 @@ func (w *WebSession) fetchOne() {
 	}
 	w.Objects++
 	w.SegsRequested += uint64(segs)
+	var t *transfer
+	if n := len(w.idle); n > 0 {
+		t = w.idle[n-1]
+		w.idle = w.idle[:n-1]
+	} else {
+		t = &transfer{w: w}
+		t.done = t.complete
+	}
+	t.segs, t.started = segs, w.eng.Now()
 	conn := w.cfg.Conn
 	conn.TotalSegs = segs
-	var f *tcp.Flow
-	started := w.eng.Now()
-	conn.OnComplete = func(done sim.Time) {
-		if f.Sink != nil {
-			f.Sink.Close()
-		}
-		w.outstanding--
-		if w.cfg.OnObject != nil {
-			w.cfg.OnObject(segs, done-started)
-		}
-		w.pump()
-	}
-	if w.crossDomain {
+	conn.OnComplete = t.done
+	flow, cc := w.ids.Next(), w.cfg.CC()
+	switch {
+	case t.f.Conn != nil:
+		t.f.Reuse(flow, cc, conn)
+	case w.crossDomain:
 		// Sender side only: attaching a Sink to the remote node here would
 		// race its shard. The server's SinkAcceptor builds the receiver
-		// when the first data segment arrives.
-		c := tcp.NewConn(w.net, w.src, w.dst.ID, w.ids.Next(), w.cfg.CC(), conn)
-		f = &tcp.Flow{Conn: c}
-	} else {
-		f = tcp.NewFlow(w.net, w.src, w.dst, w.ids.Next(), w.cfg.CC(), conn)
+		// when the first data segment arrives, and owns it thereafter.
+		t.f.Conn = tcp.NewConn(w.net, w.src, w.dst.ID, flow, cc, conn)
+	default:
+		t.f = *tcp.NewFlow(w.net, w.src, w.dst, flow, cc, conn)
 	}
-	f.Start(w.eng.Now())
+	t.f.Start(w.eng.Now())
+}
+
+// complete ends a transfer: it closes the receiver at once (a late segment
+// must find no handler, as for a discarded flow), parks the record for the
+// next object, and moves the page along.
+func (t *transfer) complete(now sim.Time) {
+	w := t.w
+	if t.f.Sink != nil {
+		t.f.Sink.Close()
+	}
+	w.idle = append(w.idle, t)
+	w.outstanding--
+	if w.cfg.OnObject != nil {
+		w.cfg.OnObject(t.segs, now-t.started)
+	}
+	w.pump()
 }
 
 // WebFleet starts n sessions between alternating (src, dst) pairs, each with

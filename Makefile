@@ -15,12 +15,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full gate: vet, the one-run-path gate, every committed example scenario
-# validated against the loader, then the test suite under the race detector
-# (exercises the harness and the parallel sweep workers). The wall-clock
-# metrics-overhead budget is built only without -race, so it runs in `make
-# test` and `make bench-smoke`, not here.
+# Full gate: vet (this module and the benchmark module, whose code calls
+# into this one's packages), the one-run-path gate, every committed example
+# scenario validated against the loader, then the test suite under the race
+# detector (exercises the harness and the parallel sweep workers). The
+# wall-clock metrics-overhead budget is built only without -race, so it runs
+# in `make test` and `make bench-smoke`, not here.
 check: vet one-path validate-scenarios
+	cd bench && $(GO) vet ./...
 	$(GO) test -race -timeout 20m ./...
 
 # One run path: every packet-level run in internal/experiments is built by
@@ -54,14 +56,15 @@ bench-micro:
 
 # Fast benchmark sanity pass for CI: run each microbenchmark once, the
 # allocation-budget tests that pin the zero-alloc hot paths (including the
-# disabled-metrics path, the SACK scoreboard, a drained queue's refill and a
-# web session's recycled transfers), and the metrics-overhead budget (<10% on
+# disabled-metrics path, the SACK scoreboard, a drained queue's refill, a
+# flow's construction and a web session's recycled transfers), and the
+# metrics-overhead budget (<10% on
 # the benchmark dumbbell with sampling at the default interval; a wall-clock
 # ratio, so its file is excluded from -race builds and this is where it
 # gates).
 bench-smoke:
 	$(GO) test -run 'TestScheduleAllocBudget|TestLinkAllocBudget' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/netem/
-	$(GO) test -count=1 -run 'TestScoreboardAddAllocBudget|TestDropTailRefillAfterDrain|TestWebSessionAllocBudget' ./internal/tcp/ ./internal/queue/ ./internal/trafficgen/
+	$(GO) test -count=1 -run 'TestScoreboardAddAllocBudget|TestNewFlowAllocBudget|TestDropTailRefillAfterDrain|TestWebSessionAllocBudget' ./internal/tcp/ ./internal/queue/ ./internal/trafficgen/
 	$(GO) test -run 'TestMetricsOverheadSmoke' -bench 'BenchmarkSimulatedSecond' -benchtime=1x -benchmem .
 
 # The benchmark (bench/, BENCHMARK.json) is a module of its own, so the root

@@ -33,7 +33,7 @@ func TestGoldenQuickTables(t *testing.T) {
 
 	// Fast experiments spanning the main simulator surfaces: fig13 (web
 	// traffic), ext-aqm (AQM disciplines at the bottleneck), ext-coexist
-	// (multi-CC sharing), ext-delaycc (delayed ACKs), ext-fct (flow
+	// (multi-CC sharing), ext-delaycc (delay-based controllers), ext-fct (flow
 	// completion times), fig11 (the parking lot, pinning a table produced
 	// entirely through the scenario compiler). The Section 2 figures are
 	// deliberately absent: they share one memoized trace study whose first

@@ -171,14 +171,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var cleanups []func()
+	// closers flush and close every output file once the run is over; the
+	// first error among them fails the command.
+	var closers []func() error
 	if *tracePath != "" {
 		w, closeFn, err := createBuffered(*tracePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)
 			return 1
 		}
-		cleanups = append(cleanups, closeFn)
+		closers = append(closers, closeFn)
 		prev := spec.Instrument
 		spec.Instrument = func(d *topo.Dumbbell) {
 			if prev != nil {
@@ -193,7 +195,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)
 			return 1
 		}
-		cleanups = append(cleanups, closeFn)
+		closers = append(closers, closeFn)
 		prev := spec.Instrument
 		spec.Instrument = func(d *topo.Dumbbell) {
 			if prev != nil {
@@ -206,7 +208,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var metricsClose func() error
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
 		if err != nil {
@@ -220,24 +221,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			sw = obs.NewJSONLWriter(f)
 		}
 		spec.Metrics = &experiments.MetricsSpec{Sink: sw, Interval: sim.Duration(shared.MetricsInterval())}
-		metricsClose = func() error {
-			err := sw.Flush()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
+		closers = append(closers, func() error { return flushClose(sw, f) })
 	}
 
 	res := experiments.RunDumbbell(spec, experiments.Scheme(*scheme))
-	for _, c := range cleanups {
-		c()
-	}
-	if metricsClose != nil {
-		if err := metricsClose(); err != nil {
-			fmt.Fprintf(stderr, "pertsim: %v\n", err)
-			return 1
+	var closeErr error
+	for _, c := range closers {
+		if err := c(); closeErr == nil {
+			closeErr = err
 		}
+	}
+	if closeErr != nil {
+		fmt.Fprintf(stderr, "pertsim: %v\n", closeErr)
+		return 1
 	}
 	if *jsonOut {
 		if err := resultTable(spec, res).FprintJSON(stdout); err != nil {
@@ -362,15 +358,21 @@ func resultTable(spec experiments.DumbbellSpec, res experiments.DumbbellResult) 
 }
 
 // createBuffered opens path for writing with a buffer; the returned func
-// flushes and closes.
-func createBuffered(path string) (io.Writer, func(), error) {
+// flushes and closes, and reports the first write, flush or close error.
+func createBuffered(path string) (io.Writer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	w := bufio.NewWriter(f)
-	return w, func() {
-		w.Flush()
-		f.Close()
-	}, nil
+	return w, func() error { return flushClose(w, f) }, nil
+}
+
+// flushClose flushes w into f and closes f, returning the first error.
+func flushClose(w interface{ Flush() error }, f *os.File) error {
+	err := w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

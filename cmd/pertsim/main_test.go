@@ -278,3 +278,19 @@ func TestV2ShardsFlag(t *testing.T) {
 		t.Fatalf("rejection should name the schedule: %s", errb.String())
 	}
 }
+
+// TestOutputWriteErrorsExit1: a trace, queue series or metrics file the run
+// cannot write is an error (exit 1, the cause on stderr), never data lost
+// behind a zero exit. /dev/full accepts the open and fails every write.
+func TestOutputWriteErrorsExit1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full device")
+	}
+	for _, flag := range []string{"-trace", "-qseries", "-metrics"} {
+		var out, errb bytes.Buffer
+		code := run(context.Background(), []string{"-dur", "2s", "-warm", "1s", "-flows", "2", flag, "/dev/full"}, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "no space left on device") {
+			t.Errorf("%s /dev/full: exit %d, stderr %q", flag, code, errb.String())
+		}
+	}
+}

@@ -19,11 +19,10 @@ import (
 // costs well under 1% of run time on a saturated quick-scale bottleneck.
 const DefaultMetricsInterval = 100 * sim.Millisecond
 
-// DefaultMetricsFlows caps how many forward flows get per-flow series when a
-// MetricsSpec does not set MaxFlows: the paper's per-flow plots show a
-// handful of flows, and instrumenting all 256 flows of a fig8 point would
-// multiply series count for no figure.
-const DefaultMetricsFlows = 8
+// metricsFlows caps how many forward flows get per-flow series: the paper's
+// per-flow plots show a handful of flows, and instrumenting all 256 flows of
+// a fig8 point would multiply series count for no figure.
+const metricsFlows = 8
 
 // MetricsSpec enables time-series collection for one dumbbell run. A nil
 // *MetricsSpec (the zero DumbbellSpec) disables the whole layer: no
@@ -38,12 +37,6 @@ type MetricsSpec struct {
 	Sink obs.Sink
 	// Interval between samples (default DefaultMetricsInterval).
 	Interval sim.Duration
-	// MaxFlows bounds per-flow instrumentation of forward long-term flows
-	// (default DefaultMetricsFlows).
-	MaxFlows int
-	// FlightDepth sizes the flight-recorder ring (default
-	// obs.DefaultFlightDepth).
-	FlightDepth int
 }
 
 func (m *MetricsSpec) interval() sim.Duration {
@@ -51,13 +44,6 @@ func (m *MetricsSpec) interval() sim.Duration {
 		return m.Interval
 	}
 	return DefaultMetricsInterval
-}
-
-func (m *MetricsSpec) maxFlows() int {
-	if m.MaxFlows > 0 {
-		return m.MaxFlows
-	}
-	return DefaultMetricsFlows
 }
 
 // newRegistry builds the run's registry and flight recorder before traffic
@@ -71,23 +57,19 @@ func (m *MetricsSpec) newRegistry(eng *sim.Engine, scenario string) *obs.Registr
 	if m.Sink != nil {
 		reg.AddSink(m.Sink)
 	}
-	reg.EnableFlight(scenario, m.FlightDepth)
+	reg.EnableFlight(scenario, obs.DefaultFlightDepth)
 	return reg
 }
 
 // instrumentDumbbell wires the standard dumbbell series: the bottleneck
 // link/queue under "queue.*", per-flow sender series under "tcp/<i>.*" for
-// the first maxFlows forward flows, and starts the sampler from t=0.
+// the first metricsFlows forward flows, and starts the sampler from t=0.
 func (m *MetricsSpec) instrumentDumbbell(reg *obs.Registry, d *topo.Dumbbell, fwd []*tcp.Flow) {
 	if reg == nil {
 		return
 	}
 	d.Forward.Instrument(reg, "queue")
-	n := m.maxFlows()
-	if n > len(fwd) {
-		n = len(fwd)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(metricsFlows, len(fwd)); i++ {
 		tcp.InstrumentConn(reg, fwd[i].Conn, fmt.Sprintf("tcp/%d", i))
 	}
 	reg.Start(0, m.interval())

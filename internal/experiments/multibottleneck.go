@@ -63,10 +63,6 @@ func Fig11(ctx context.Context, scale Scale) (*Table, error) {
 			},
 			Groups:   groups,
 			Duration: dur, MeasureFrom: from, MeasureUntil: until,
-			// The historical environment: PI design rules sized for one hop's
-			// flow population at the paper's 60 ms RTT bound, not the derived
-			// all-groups total.
-			Env: &scenario.Env{CapacityPPS: coreBW / (8 * 1040), NFlows: perHop, MaxRTT: ms(60)},
 		})
 		x.audit(netem.AuditConfig{Scenario: "fig11 scheme=" + string(scheme)})
 		x.Spawn()

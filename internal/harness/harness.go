@@ -196,7 +196,7 @@ func runCell(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 }
 
 // cellKey returns the cell's content address, or "" when the spec or cell
-// is not cacheable (no cache configured, Go-only scenario overrides).
+// is not cacheable (no cache configured, or no key could be computed).
 func cellKey(spec RunSpec, exp experiments.Experiment) string {
 	if !spec.Cache.enabled() {
 		return ""

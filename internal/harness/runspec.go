@@ -217,16 +217,10 @@ func (s RunSpec) CellKey(expID, codeVersion string) (string, error) {
 	return cache.Key(id)
 }
 
-// ScenarioKey returns the cache key of the spec's inline scenario cell. A
-// scenario carrying Go-only overrides (an explicit Queue factory or Env) is
-// not content-addressable and returns an error — the harness runs such
-// cells uncached.
+// ScenarioKey returns the cache key of the spec's inline scenario cell.
 func (s RunSpec) ScenarioKey(codeVersion string) (string, error) {
 	if s.Scenario == nil {
 		return "", errors.New("harness: no inline scenario")
-	}
-	if s.Scenario.Topology.Queue != nil || s.Scenario.Env != nil {
-		return "", errors.New("harness: scenario with Go-only overrides (Queue/Env) is not cacheable")
 	}
 	id := s.identity(codeVersion)
 	id.Experiment = ScenarioCellID(s.Scenario)

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pert/internal/fluid"
 	"pert/internal/sim"
@@ -33,7 +32,6 @@ type FluidSource struct {
 	par  fluid.PERTParams
 	st   *fluid.Stepper
 	tick *sim.Ticker
-	rng  *rand.Rand // ECN-mark draws; nil unless cfg.ECN
 
 	lastArrivals uint64   // Stats.Arrivals at the previous tick
 	lastTick     sim.Time // previous tick time
@@ -75,12 +73,6 @@ type FluidConfig struct {
 	// modeled backlog + packet queue length reaches it is dropped exactly
 	// like a queue reject. 0 disables shared-overflow loss.
 	BufferPkts int
-	// ECN marks real ECN-capable packets with probability equal to the
-	// aggregate's current response probability instead of relying on
-	// overflow loss alone. Draws come from a dedicated generator seeded
-	// with Seed, so enabling it perturbs no other random stream.
-	ECN  bool
-	Seed int64
 }
 
 func (c *FluidConfig) applyDefaults() {
@@ -140,9 +132,6 @@ func AttachFluid(l *Link, cfg FluidConfig) (*FluidSource, error) {
 		Alpha: cfg.Alpha,
 		Delta: cfg.Delta,
 	}
-	if cfg.ECN {
-		fs.rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	sys := fs.par.HybridSystem(fluid.HybridInputs{PacketRate: func() float64 { return fs.pktRate }})
 	now := l.eng.Now()
 	fs.st = fluid.NewStepper(sys, []float64{1, 0, 0}, now.Seconds(), cfg.Step)
@@ -175,19 +164,11 @@ func (fs *FluidSource) onTick(now sim.Time) {
 	fs.prob = fs.par.Prob(x[2])
 }
 
-// admit decides the fate of a real packet offered to the shared queue:
-// reject when the combined modeled + packet backlog has filled the buffer,
-// and otherwise mark ECN-capable packets at the aggregate's response
-// probability when configured.
-func (fs *FluidSource) admit(p *Packet) bool {
-	if fs.cfg.BufferPkts > 0 && fs.backlog+float64(fs.link.Queue.Len()) >= float64(fs.cfg.BufferPkts) {
-		return false
-	}
-	if fs.rng != nil && p.ECT && !p.CE && fs.prob > 0 && fs.rng.Float64() < fs.prob {
-		p.CE = true
-		fs.link.Stats.Marks++
-	}
-	return true
+// admit reports whether the shared queue has room for a real packet: it
+// rejects one once the combined modeled + packet backlog has filled the
+// buffer.
+func (fs *FluidSource) admit() bool {
+	return fs.cfg.BufferPkts <= 0 || fs.backlog+float64(fs.link.Queue.Len()) < float64(fs.cfg.BufferPkts)
 }
 
 // Backlog returns the modeled fluid packets currently in the shared queue.

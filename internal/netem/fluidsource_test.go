@@ -111,43 +111,6 @@ func TestFluidSharedBufferOverflow(t *testing.T) {
 	}
 }
 
-func TestFluidECNMarking(t *testing.T) {
-	eng, net, a, b, ab := func() (*sim.Engine, *Network, *Node, *Node, *Link) {
-		eng := sim.NewEngine(3)
-		net, a, b, ab := line(eng, 8e6, 5*sim.Millisecond, 1<<20)
-		return eng, net, a, b, ab
-	}()
-	_, err := AttachFluid(ab, FluidConfig{
-		Flows: 50, RTT: 0.1, PktSize: 1000,
-		Tmin: 0.05, Tmax: 0.1, Pmax: 0.1,
-		Alpha: 0.99, Delta: 1e-4,
-		ECN: true, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &sink{}
-	b.AttachFlow(1, s)
-	eng.Run(30 * sim.Second) // reach equilibrium: prob ≈ 0.5
-	for i := 0; i < 2000; i++ {
-		net.SendFrom(a, &Packet{ID: net.NewPacketID(), Flow: 1, Src: a.ID, Dst: b.ID,
-			Size: 1000, Seq: int64(i), ECT: true})
-	}
-	eng.Run(60 * sim.Second)
-	marks := 0
-	for _, p := range s.got {
-		if p.CE {
-			marks++
-		}
-	}
-	if marks < len(s.got)*3/10 || marks > len(s.got)*7/10 {
-		t.Fatalf("%d of %d ECN-capable packets marked, want ~p* = 50%%", marks, len(s.got))
-	}
-	if marks != int(ab.Stats.Marks) {
-		t.Fatalf("delivered CE count %d != Stats.Marks %d", marks, ab.Stats.Marks)
-	}
-}
-
 func TestFluidAttachErrors(t *testing.T) {
 	eng := sim.NewEngine(3)
 	_, _, _, ab := line(eng, 8e6, 5*sim.Millisecond, 100)

@@ -131,7 +131,7 @@ func (l *Link) Send(p *Packet) {
 		l.dom.releasePacket(p)
 		return
 	}
-	if l.fluid != nil && !l.fluid.admit(p) {
+	if l.fluid != nil && !l.fluid.admit() {
 		// Shared-queue overflow: the modeled backlog plus the packet
 		// queue has filled the buffer, so the packet is lost exactly as
 		// a queue reject would lose it.

@@ -66,12 +66,7 @@ func Compile(eng *sim.Engine, net *netem.Network, spec Spec) (*Instance, error) 
 		return nil, err
 	}
 	env := spec.env()
-
-	qf := spec.Topology.Queue
-	if qf == nil {
-		def := MustLookup(spec.queueScheme()) // Validate checked it
-		qf = def.Queue(net, env)
-	}
+	qf := MustLookup(spec.queueScheme()).Queue(net, env) // Validate checked the scheme
 
 	inst := &Instance{Spec: spec, Eng: eng, Net: net, Env: env}
 	switch spec.Topology.Template {
@@ -284,7 +279,6 @@ func (inst *Instance) attachFluid(i int, g FlowGroupSpec) *netem.FluidSource {
 		RTT:        rtt.Seconds(),
 		PktSize:    inst.Spec.Topology.PktSize, // 0 = AttachFluid's 1040 default
 		BufferPkts: inst.Topo.BufferPkts(),
-		Seed:       impairSeed(inst.Spec.Seed, 0x7f1d+i),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("scenario: fluid group %d: %v", i, err)) // Validate pinned the preconditions

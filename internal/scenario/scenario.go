@@ -5,7 +5,6 @@ import (
 
 	"pert/internal/netem"
 	"pert/internal/sim"
-	"pert/internal/topo"
 )
 
 // TrafficKind selects a flow group's generator.
@@ -58,10 +57,6 @@ type TopologySpec struct {
 	// AQM names the registered scheme whose Queue factory builds the core
 	// queues (both directions). Empty = the first flow group's scheme.
 	AQM string
-	// Queue overrides AQM with an explicit factory (Go callers only; the
-	// JSON loader always goes through AQM). Excluded from the serialized
-	// form — a spec carrying one is not content-addressable.
-	Queue topo.QueueFactory `json:"-"`
 }
 
 // FlowModel selects how a group's flows are simulated.
@@ -175,12 +170,6 @@ type Spec struct {
 	// same cache cell. Shards > 1 is a different execution (its own RNG
 	// streams per shard) and therefore a different cell.
 	Shards int
-
-	// Env overrides the derived scheme environment (capacity, flow count,
-	// RTT bound). Experiments that historically hand-picked these values
-	// set it to stay bit-identical; leave nil to derive from the spec.
-	// Excluded from the serialized form (see Topology.Queue).
-	Env *Env `json:"-"`
 }
 
 // measureUntil returns the effective window end.
@@ -217,12 +206,10 @@ func (s Spec) Validate() error {
 	if err := s.Topology.validate(); err != nil {
 		return err
 	}
-	if s.Topology.Queue == nil {
-		if aqm := s.queueScheme(); aqm == "" {
-			return fmt.Errorf("scenario: no queue discipline: set topology.aqm or give the first group a scheme")
-		} else if !Known(aqm) {
-			return fmt.Errorf("scenario: unknown aqm scheme %q", aqm)
-		}
+	if aqm := s.queueScheme(); aqm == "" {
+		return fmt.Errorf("scenario: no queue discipline: set topology.aqm or give the first group a scheme")
+	} else if !Known(aqm) {
+		return fmt.Errorf("scenario: unknown aqm scheme %q", aqm)
 	}
 	traffic := 0
 	for i, g := range s.Groups {
@@ -453,9 +440,9 @@ func (s Spec) queueScheme() string {
 	return ""
 }
 
-// deriveEnv computes the scheme environment from the spec: total long-flow
-// count, core capacity, and the largest configured RTT.
-func (s Spec) deriveEnv() Env {
+// env derives the scheme environment from the spec: total long-flow count,
+// core capacity, and the largest configured RTT.
+func (s Spec) env() Env {
 	env := Env{TargetDelay: s.TargetDelay}
 	for _, g := range s.Groups {
 		// Fluid groups do not spawn connections; the scheme environment
@@ -492,12 +479,4 @@ func (s Spec) deriveEnv() Env {
 		}
 	}
 	return env
-}
-
-// env returns the effective environment: the override if set, else derived.
-func (s Spec) env() Env {
-	if s.Env != nil {
-		return *s.Env
-	}
-	return s.deriveEnv()
 }

@@ -167,11 +167,6 @@ func TestDeriveEnv(t *testing.T) {
 	if want := 10e6 / (8 * 1040.0); env.CapacityPPS != want {
 		t.Fatalf("CapacityPPS = %v, want %v", env.CapacityPPS, want)
 	}
-	override := Env{CapacityPPS: 1, NFlows: 1, MaxRTT: ms(1)}
-	s.Env = &override
-	if s.env() != override {
-		t.Fatal("Env override ignored")
-	}
 }
 
 func TestImpairSeed(t *testing.T) {

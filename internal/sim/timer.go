@@ -1,8 +1,8 @@
 package sim
 
 // Timer is a persistent, rearmable scheduled callback — the handle type for
-// event sources that fire many times over a run (TCP retransmission and
-// delayed-ACK timers, link transmit completions, periodic samplers). Unlike
+// event sources that fire many times over a run (TCP retransmission timers,
+// link transmit completions, periodic samplers). Unlike
 // the one-shot Event returned by At, a Timer is allocated once and then
 // rearmed with Reset for the lifetime of its owner.
 //

@@ -8,13 +8,12 @@ import (
 )
 
 const (
-	// DefaultPayload is the data payload per segment in bytes; with the
-	// 40-byte header this gives the 1040-byte wire segments used throughout
-	// the experiments (the paper's Section 5 examples use 1250-byte packets;
-	// both are configurable).
-	DefaultPayload = 1000
-	headerSize     = 40
-	ackSize        = headerSize
+	// payloadSize is the data payload per segment in bytes; with the 40-byte
+	// header this gives the 1040-byte wire segments used throughout the
+	// experiments.
+	payloadSize = 1000
+	headerSize  = 40
+	ackSize     = headerSize
 )
 
 // LossKind distinguishes how the sender inferred a loss, for flow-level loss
@@ -30,28 +29,13 @@ const (
 
 // Config parameterizes a connection. Zero values select sensible defaults.
 type Config struct {
-	Payload     int     // payload bytes per segment (default 1000)
 	InitialCwnd float64 // default 2 segments
 	MaxCwnd     float64 // receiver-window stand-in; default effectively unbounded
 	ECN         bool    // negotiate ECN: set ECT, respond to ECE
-	// LimitedTransmit enables RFC 3042: on the first two duplicate ACKs
-	// the sender transmits one new segment beyond the window, keeping the
-	// ACK clock alive so small windows can still trigger fast retransmit
-	// instead of timing out.
-	LimitedTransmit bool
-	// SlowStartRestart collapses the window back to the initial window
-	// after the connection has been idle longer than one RTO (the
-	// ns-2/RFC 2861 behaviour), so a burst after idle cannot blast a full
-	// stale window into the network.
-	SlowStartRestart bool
-	// DelAck enables RFC 1122-style delayed ACKs at the receiver (ack
-	// every second in-order segment or after 200 ms). Off by default,
-	// matching ns-2's TCPSink.
-	DelAck bool
 	// MaxBurst caps the segments transmitted in response to one ACK
 	// (ns-2's maxburst), preventing stretch ACKs — e.g. after ACK loss on
 	// a congested reverse path — from blasting line-rate bursts into the
-	// bottleneck. Default 4; negative disables.
+	// bottleneck. Default 4.
 	MaxBurst int
 
 	// TotalSegs ends the transfer after this many segments are acked;
@@ -125,8 +109,6 @@ type Conn struct {
 	started   bool
 	completed bool
 
-	lastTx sim.Time // time of the most recent transmission (idle detection)
-
 	Stats ConnStats
 }
 
@@ -147,9 +129,6 @@ func NewConn(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, c
 // new one. Only the persistent timer and the capacity of the scoreboard and
 // retransmission list survive; the caller guarantees the timer is stopped.
 func (c *Conn) reset(net *netem.Network, node *netem.Node, dst netem.NodeID, flow int, cc CongestionControl, cfg Config) {
-	if cfg.Payload == 0 {
-		cfg.Payload = DefaultPayload
-	}
 	if cfg.InitialCwnd == 0 {
 		cfg.InitialCwnd = 2
 	}
@@ -185,13 +164,7 @@ type Flow struct {
 // NewFlow wires a sender at src to a sink at dst and returns both. Call
 // Start on the returned flow (or Conn.Start) to begin transmitting.
 func NewFlow(net *netem.Network, src, dst *netem.Node, flow int, cc CongestionControl, cfg Config) *Flow {
-	c := NewConn(net, src, dst.ID, flow, cc, cfg)
-	payload := c.cfg.Payload
-	s := NewSink(net, dst, flow, src.ID, payload)
-	if cfg.DelAck {
-		s.EnableDelAck(0)
-	}
-	return &Flow{Conn: c, Sink: s}
+	return &Flow{Conn: NewConn(net, src, dst.ID, flow, cc, cfg), Sink: NewSink(net, dst, flow, src.ID)}
 }
 
 // Reuse turns a finished flow into a new one under a fresh flow ID, between
@@ -210,10 +183,7 @@ func (f *Flow) Reuse(flow int, cc CongestionControl, cfg Config) {
 	c.reset(c.net, c.node, c.dst, flow, cc, cfg)
 	if s := f.Sink; s != nil {
 		s.Close()
-		s.reset(s.net, s.node, flow, s.peer, c.cfg.Payload)
-		if cfg.DelAck {
-			s.EnableDelAck(0)
-		}
+		s.reset(s.net, s.node, flow, s.peer)
 	}
 }
 
@@ -313,7 +283,7 @@ func (c *Conn) sendSeg(seq int64) {
 	p.Flow = c.flow
 	p.Src = c.node.ID
 	p.Dst = c.dst
-	p.Size = c.cfg.Payload + headerSize
+	p.Size = payloadSize + headerSize
 	p.Seq = seq
 	p.ECT = c.cfg.ECN
 	p.CWR = c.cwrPending
@@ -328,7 +298,6 @@ func (c *Conn) sendSeg(seq int64) {
 	if seq >= c.sndMax {
 		c.sndMax = seq + 1
 	}
-	c.lastTx = c.eng.Now()
 	c.net.SendFrom(c.node, p)
 	c.armTimerIfNeeded()
 }
@@ -339,36 +308,19 @@ func (c *Conn) trySend() {
 	if c.completed || !c.started {
 		return
 	}
-	c.maybeSlowStartRestart()
 	burst := 0
-	allowed := func() bool { return c.cfg.MaxBurst < 0 || burst < c.cfg.MaxBurst }
 	if c.inRecovery {
-		for allowed() && c.sendRecoveryStep() {
+		for burst < c.cfg.MaxBurst && c.sendRecoveryStep() {
 			burst++
 		}
 		return
 	}
 	limit := c.dataLimit()
-	for allowed() && c.sndNxt-c.sndUna < c.effCwnd() && c.sndNxt < limit {
+	for burst < c.cfg.MaxBurst && c.sndNxt-c.sndUna < c.effCwnd() && c.sndNxt < limit {
 		seq := c.sndNxt
 		c.sndNxt++
 		c.sendSeg(seq)
 		burst++
-	}
-}
-
-// maybeSlowStartRestart applies the idle-restart rule before transmitting
-// new data.
-func (c *Conn) maybeSlowStartRestart() {
-	if !c.cfg.SlowStartRestart || c.lastTx == 0 {
-		return
-	}
-	if c.sndMax > c.sndUna {
-		return // data in flight: not idle
-	}
-	if c.eng.Now()-c.lastTx > c.rtt.RTO() {
-		c.SetSsthresh(c.cwnd)
-		c.SetCwnd(c.cfg.InitialCwnd)
 	}
 }
 
@@ -496,12 +448,6 @@ func (c *Conn) Receive(p *netem.Packet, now sim.Time) {
 		c.dupacks++
 		if !c.inRecovery && (c.dupacks >= 3 || c.sb.SackedCount() >= 3) {
 			c.enterRecovery(now)
-		} else if !c.inRecovery && c.cfg.LimitedTransmit && c.dupacks <= 2 && c.sndNxt < c.dataLimit() {
-			// RFC 3042: each of the first two dupacks releases one new
-			// segment beyond the window.
-			seq := c.sndNxt
-			c.sndNxt++
-			c.sendSeg(seq)
 		}
 	}
 

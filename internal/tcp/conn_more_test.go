@@ -26,19 +26,6 @@ func TestMaxBurstCapsSendsPerAck(t *testing.T) {
 	}
 }
 
-func TestMaxBurstDisabled(t *testing.T) {
-	eng, d := testbed(t, 1, 100e6, 60*sim.Millisecond, 1, 10000)
-	f := NewFlow(d.Net, d.Left[0], d.Right[0], 1, Reno{}, Config{MaxBurst: -1})
-	f.Start(0)
-	eng.Run(2 * sim.Second)
-	sent := f.Conn.Stats.SegsSent
-	una := f.Conn.SndUna()
-	f.Conn.Receive(&netem.Packet{IsAck: true, AckNo: una + 20, Flow: 1}, eng.Now())
-	if burst := f.Conn.Stats.SegsSent - sent; burst < 10 {
-		t.Fatalf("burst = %d with cap disabled, expected a large burst", burst)
-	}
-}
-
 func TestECNResponseOncePerWindow(t *testing.T) {
 	eng, d := testbed(t, 1, 50e6, 60*sim.Millisecond, 1, 10000)
 	f := NewFlow(d.Net, d.Left[0], d.Right[0], 1, Reno{}, Config{ECN: true})

@@ -39,7 +39,7 @@ func (s owdSink) Receive(p *netem.Packet, now sim.Time) {
 // whose responder consumes OWD samples (see PERTOWD).
 func NewOWDFlow(net *netem.Network, src, dst *netem.Node, flow int, cc CongestionControl, cfg Config) *Flow {
 	c := NewConn(net, src, dst.ID, flow, cc, cfg)
-	s := NewSink(net, dst, flow, src.ID, c.cfg.Payload)
+	s := NewSink(net, dst, flow, src.ID)
 	dst.AttachFlow(flow, owdSink{s})
 	return &Flow{Conn: c, Sink: s}
 }

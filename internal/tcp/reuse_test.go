@@ -9,27 +9,6 @@ import (
 	"pert/internal/sim"
 )
 
-// TestClosedSinkSendsNoDelayedAck: closing a sink with a delayed ACK pending
-// cancels the ACK. A closed sink must be quiet, or a recycled one would ack
-// for a flow that no longer exists.
-func TestClosedSinkSendsNoDelayedAck(t *testing.T) {
-	eng, net, a, s, catcher := sinkBed(t)
-	s.EnableDelAck(0)
-	net.SendFrom(a, seg(net, a, 0))
-	eng.Run(10 * sim.Millisecond)
-	if s.UniqueSegs != 1 || !s.delAckTimer.Scheduled() {
-		t.Fatalf("premise: %d segments received, delayed ACK armed %v", s.UniqueSegs, s.delAckTimer.Scheduled())
-	}
-	s.Close()
-	eng.Run(sim.Second)
-	if s.AcksSent != 0 || len(catcher.acks) != 0 {
-		t.Fatalf("closed sink sent %d ACKs (%d delivered)", s.AcksSent, len(catcher.acks))
-	}
-	if n := eng.Pending(); n != 0 {
-		t.Fatalf("%d events pending after the sink closed", n)
-	}
-}
-
 // sendRec is one data segment as its sender offered it to the first link.
 type sendRec struct {
 	at      sim.Time
@@ -80,14 +59,14 @@ func reuseBed(watch int, sends *[]sendRec) (*sim.Engine, *netem.Network, *netem.
 
 // TestReusedFlowMatchesFresh: a flow recycled with Reuse is indistinguishable
 // from one built by NewFlow. Flow A runs until it has been through an RTO,
-// SACK recovery and an ECN response, and is closed with a delayed ACK
-// pending and a CE echo outstanding at its sink and segments still in
-// flight. Transfer B then runs either on A's recycled endpoints or on a
-// fresh NewFlow, over networks that are identical up to that point; every
-// send, the window state after every ACK, and every counter of B must
-// agree. B starts at once, while A's stopped timers still have carriers in
-// the engine, and again a second later, once the bottleneck has drained and
-// no longer masks state a sink might carry over.
+// SACK recovery and an ECN response, and is closed with a CE echo
+// outstanding at its sink and segments still in flight. Transfer B then runs
+// either on A's recycled endpoints or on a fresh NewFlow, over networks that
+// are identical up to that point; every send, the window state after every
+// ACK, and every counter of B must agree. B starts at once, while A's
+// stopped retransmission timer still has a carrier in the engine, and again
+// a second later, once the bottleneck has drained and no longer masks state
+// a sink might carry over.
 func TestReusedFlowMatchesFresh(t *testing.T) {
 	type outcome struct {
 		sends []sendRec
@@ -103,13 +82,12 @@ func TestReusedFlowMatchesFresh(t *testing.T) {
 	run := func(reuse bool, gap sim.Duration) outcome {
 		var o outcome
 		eng, net, a, b := reuseBed(2, &o.sends)
-		cfg := Config{ECN: true, DelAck: true, LimitedTransmit: true}
+		cfg := Config{ECN: true}
 		fa := NewFlow(net, a, b, 1, Reno{}, cfg)
 		fa.Start(0)
-		for st := &fa.Conn.Stats; st.RTOs == 0 || st.FastRecoveries == 0 || st.ECNResponses == 0 ||
-			!fa.Sink.delAckTimer.Scheduled() || !fa.Sink.ecnEcho; {
+		for st := &fa.Conn.Stats; st.RTOs == 0 || st.FastRecoveries == 0 || st.ECNResponses == 0 || !fa.Sink.ecnEcho; {
 			if eng.Now() > 300*sim.Second {
-				t.Fatalf("flow A never covered an RTO, SACK recovery and an ECN response, then paused with a delayed ACK and a CE echo pending: %+v", *st)
+				t.Fatalf("flow A never covered an RTO, SACK recovery and an ECN response, then paused with a CE echo pending: %+v", *st)
 			}
 			eng.Run(eng.Now() + sim.Millisecond)
 		}
@@ -163,6 +141,18 @@ func TestReusedFlowMatchesFresh(t *testing.T) {
 		}()
 		f.Reuse(2, Reno{}, Config{})
 	})
+}
+
+// TestNewFlowAllocBudget: building and closing a flow costs five heap
+// objects — the Flow, the Conn, its retransmission timer and the timer's
+// bound onRTO, and the Sink, which owns no timer.
+func TestNewFlowAllocBudget(t *testing.T) {
+	_, net, a, b := acceptorBed(t)
+	cycle := func() { NewFlow(net, a, b, 1, Reno{}, Config{}).Close() }
+	cycle() // the demux entry for flow 1 exists from here on
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 5 {
+		t.Fatalf("NewFlow+Close allocates %.1f times, budget is 5", allocs)
+	}
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.

@@ -29,7 +29,7 @@ func sinkBed(t *testing.T) (*sim.Engine, *netem.Network, *netem.Node, *Sink, *ac
 	net.ComputeRoutes()
 	catcher := &ackCatcher{}
 	a.AttachFlow(1, catcher)
-	s := NewSink(net, b, 1, a.ID, 1000)
+	s := NewSink(net, b, 1, a.ID)
 	return eng, net, a, s, catcher
 }
 

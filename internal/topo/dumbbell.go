@@ -17,6 +17,13 @@ import (
 // packets.
 type QueueFactory func(limit int, capacityPPS float64) netem.Discipline
 
+// Every dumbbell access link runs at the paper's Section 2 host rate behind
+// a drop-tail buffer generous enough never to be the bottleneck.
+const (
+	accessBandwidth = 500e6 // bits/s
+	accessBuffer    = 10000 // packets
+)
+
 // DumbbellConfig describes a single-bottleneck dumbbell: Hosts source hosts
 // on the left, Hosts destination hosts on the right, two routers in the
 // middle.
@@ -35,19 +42,15 @@ type DumbbellConfig struct {
 	// slice applies to every pair. Each RTT must be at least 2*Delay.
 	RTTs []sim.Duration
 
-	AccessBandwidth float64 // per-host access rate; default 500 Mbps (paper Sec. 2)
-	AccessBuffer    int     // access queue size in packets; default generous
 	// AccessJitter adds uniform per-packet delay jitter in [0, AccessJitter)
 	// on every access link (order-preserving), modeling the non-queueing
 	// delay noise real paths have.
 	AccessJitter sim.Duration
 
 	// BufferPkts is the bottleneck buffer in packets. Zero applies the
-	// paper's rule: bandwidth-delay product with a floor of 2*Hosts.
+	// paper's rule: the bandwidth-delay product at the mean of RTTs, with a
+	// floor of 2*Hosts.
 	BufferPkts int
-	// MeanRTT is used for the BDP buffer rule when BufferPkts is zero;
-	// defaults to the mean of RTTs.
-	MeanRTT sim.Duration
 
 	PktSize int // wire packet size for BDP accounting; default 1040
 
@@ -83,28 +86,18 @@ func NewDumbbell(net *netem.Network, cfg DumbbellConfig) *Dumbbell {
 	if len(cfg.RTTs) == 0 {
 		cfg.RTTs = []sim.Duration{60 * sim.Millisecond}
 	}
-	if cfg.AccessBandwidth == 0 {
-		cfg.AccessBandwidth = 500e6
-	}
 	if cfg.PktSize == 0 {
 		cfg.PktSize = 1040
 	}
-	if cfg.MeanRTT == 0 {
+	if cfg.BufferPkts == 0 {
 		var sum sim.Duration
 		for _, r := range cfg.RTTs {
 			sum += r
 		}
-		cfg.MeanRTT = sum / sim.Duration(len(cfg.RTTs))
-	}
-	if cfg.BufferPkts == 0 {
-		bdp := BDPPackets(cfg.Bandwidth, cfg.MeanRTT, cfg.PktSize)
-		cfg.BufferPkts = bdp
+		cfg.BufferPkts = BDPPackets(cfg.Bandwidth, sum/sim.Duration(len(cfg.RTTs)), cfg.PktSize)
 		if min := 2 * cfg.Hosts; cfg.BufferPkts < min {
 			cfg.BufferPkts = min
 		}
-	}
-	if cfg.AccessBuffer == 0 {
-		cfg.AccessBuffer = 10000
 	}
 
 	pps := cfg.Bandwidth / (8 * float64(cfg.PktSize))
@@ -113,13 +106,13 @@ func NewDumbbell(net *netem.Network, cfg DumbbellConfig) *Dumbbell {
 	d.Forward = net.AddLink(d.R1, d.R2, cfg.Bandwidth, cfg.Delay, cfg.Queue(cfg.BufferPkts, pps))
 	d.Reverse = net.AddLink(d.R2, d.R1, cfg.Bandwidth, cfg.Delay, cfg.Queue(cfg.BufferPkts, pps))
 
-	accessQ := func() netem.Discipline { return queue.NewDropTail(cfg.AccessBuffer) }
+	accessQ := func() netem.Discipline { return queue.NewDropTail(accessBuffer) }
 	for i := 0; i < cfg.Hosts; i++ {
 		rtt := cfg.RTTs[i%len(cfg.RTTs)]
 		access := accessDelay(rtt, cfg.Delay)
 		l, r := net.AddNode(), net.AddNode()
-		la, lb := net.AddDuplexLink(l, d.R1, cfg.AccessBandwidth, access, accessQ(), accessQ())
-		ra, rb := net.AddDuplexLink(r, d.R2, cfg.AccessBandwidth, access, accessQ(), accessQ())
+		la, lb := net.AddDuplexLink(l, d.R1, accessBandwidth, access, accessQ(), accessQ())
+		ra, rb := net.AddDuplexLink(r, d.R2, accessBandwidth, access, accessQ(), accessQ())
 		for _, lk := range []*netem.Link{la, lb, ra, rb} {
 			lk.JitterMax = cfg.AccessJitter
 		}

@@ -189,6 +189,30 @@ func TestWebSessionStopsCleanly(t *testing.T) {
 	}
 }
 
+// TestSequentialDefaultUnchanged: a session fetches its pages' objects one
+// at a time, as the classic model does — each fetch starts only once the
+// previous object has completed.
+func TestSequentialDefaultUnchanged(t *testing.T) {
+	eng, d := bed(23)
+	started, completed := 0, 0
+	s := StartWebSession(d.Net, NewIDs(), d.Left[0], d.Right[0], WebConfig{
+		MeanThink:      100 * sim.Millisecond,
+		ObjectsPerPage: 6,
+		CC: func() tcp.CongestionControl {
+			if started != completed {
+				t.Fatalf("object %d started with %d still in flight", started+1, started-completed)
+			}
+			started++
+			return tcp.Reno{}
+		},
+		OnObject: func(int64, sim.Duration) { completed++ },
+	}, 0)
+	eng.Run(30 * sim.Second)
+	if s.Pages < 10 || uint64(completed) < s.Pages {
+		t.Fatalf("premise: %d pages, %d objects completed", s.Pages, completed)
+	}
+}
+
 func TestWebTrafficIsBursty(t *testing.T) {
 	// Sanity-check the heavy tail reaches the wire: object sizes requested
 	// over a long run should include some far above the mean.

@@ -9,16 +9,13 @@ import (
 // WebConfig parameterizes a web session per the guidelines of Feldmann et
 // al. [11]: pages arrive after exponential think times, each page carries a
 // geometric number of objects, and object sizes are heavy-tailed (Pareto).
-// Objects within a page are fetched sequentially over fresh TCP connections.
+// Objects within a page are fetched one at a time, each over a fresh TCP
+// connection.
 type WebConfig struct {
 	MeanThink      sim.Duration // default 1 s
 	ObjectsPerPage float64      // geometric mean; default 2
 	ParetoShape    float64      // default 1.2
 	MeanObjectSegs float64      // mean object size in segments; default 12
-	// ParallelConns is how many objects of a page are fetched concurrently
-	// (browsers use 2-6 connections per host). Default 1 (sequential, the
-	// conservative classic model).
-	ParallelConns int
 
 	// CC builds the controller for each transfer; default Reno (web
 	// background traffic is standard TCP in all the paper's experiments).
@@ -44,9 +41,6 @@ func (c *WebConfig) applyDefaults() {
 	}
 	if c.MeanObjectSegs == 0 {
 		c.MeanObjectSegs = 12
-	}
-	if c.ParallelConns == 0 {
-		c.ParallelConns = 1
 	}
 	if c.CC == nil {
 		c.CC = func() tcp.CongestionControl { return tcp.Reno{} }
@@ -74,24 +68,21 @@ type WebSession struct {
 	Objects       uint64
 	SegsRequested uint64
 
-	remaining   int // objects left on the current page
-	outstanding int // transfers currently in flight
+	remaining int // objects left on the current page
 
-	// idle holds finished transfers for the next objects to reuse, so a
-	// session allocates one flow per concurrent transfer, not per object. A
-	// session runs on one engine, so the list is shard-local.
-	idle []*transfer
+	// t is the session's one transfer. Each object's fetch reuses the flow
+	// of the one before, so a session allocates one flow, not one per
+	// object. done is w.complete, bound once at construction, and serves as
+	// every fetch's OnComplete.
+	t    transfer
+	done func(sim.Time)
 }
 
-// transfer is one object fetch over a flow its session recycles. done is
-// bound once, when the record is built, and serves as every fetch's
-// OnComplete.
+// transfer is the object fetch in flight and the flow it runs over.
 type transfer struct {
-	w       *WebSession
 	f       tcp.Flow
 	segs    int64
 	started sim.Time
-	done    func(sim.Time)
 }
 
 // StartWebSession begins a session at time at. The session's timers and
@@ -106,10 +97,11 @@ type transfer struct {
 func StartWebSession(net *netem.Network, ids *IDs, src, dst *netem.Node, cfg WebConfig, at sim.Time) *WebSession {
 	cfg.applyDefaults()
 	w := &WebSession{net: net, eng: src.Engine(), ids: ids, src: src, dst: dst, cfg: cfg}
+	w.done = w.complete
 	if src.Domain() != dst.Domain() {
 		w.ids = ids.Namespace()
 		w.crossDomain = true
-		tcp.AcceptSinks(net, dst, cfg.Conn.Payload, cfg.Conn.DelAck)
+		tcp.AcceptSinks(net, dst)
 	}
 	w.eng.At(at, w.think)
 	return w
@@ -137,26 +129,23 @@ func startPage(a any) {
 	w.pump()
 }
 
-// pump launches object transfers until the page's parallelism budget is
-// filled, and returns to thinking when the page completes.
+// pump fetches the page's next object, or returns to thinking when the page
+// is complete.
 func (w *WebSession) pump() {
 	if w.stop {
 		return
 	}
-	if w.remaining == 0 && w.outstanding == 0 {
+	if w.remaining == 0 {
 		w.think()
 		return
 	}
-	for w.remaining > 0 && w.outstanding < w.cfg.ParallelConns {
-		w.remaining--
-		w.outstanding++
-		w.fetchOne()
-	}
+	w.remaining--
+	w.fetchOne()
 }
 
 // fetchOne transfers a single object over a fresh connection: a new flow
-// ID and controller on endpoints recycled from an earlier object when the
-// session has one idle.
+// ID and controller, on the endpoints of the session's previous object when
+// it has fetched one.
 func (w *WebSession) fetchOne() {
 	segs := int64(Pareto(w.eng.Rand(), w.cfg.ParetoShape, w.cfg.MeanObjectSegs))
 	if segs < 1 {
@@ -164,18 +153,11 @@ func (w *WebSession) fetchOne() {
 	}
 	w.Objects++
 	w.SegsRequested += uint64(segs)
-	var t *transfer
-	if n := len(w.idle); n > 0 {
-		t = w.idle[n-1]
-		w.idle = w.idle[:n-1]
-	} else {
-		t = &transfer{w: w}
-		t.done = t.complete
-	}
+	t := &w.t
 	t.segs, t.started = segs, w.eng.Now()
 	conn := w.cfg.Conn
 	conn.TotalSegs = segs
-	conn.OnComplete = t.done
+	conn.OnComplete = w.done
 	flow, cc := w.ids.Next(), w.cfg.CC()
 	switch {
 	case t.f.Conn != nil:
@@ -192,17 +174,13 @@ func (w *WebSession) fetchOne() {
 }
 
 // complete ends a transfer: it closes the receiver at once (a late segment
-// must find no handler, as for a discarded flow), parks the record for the
-// next object, and moves the page along.
-func (t *transfer) complete(now sim.Time) {
-	w := t.w
-	if t.f.Sink != nil {
-		t.f.Sink.Close()
+// must find no handler, as for a discarded flow) and moves the page along.
+func (w *WebSession) complete(now sim.Time) {
+	if s := w.t.f.Sink; s != nil {
+		s.Close()
 	}
-	w.idle = append(w.idle, t)
-	w.outstanding--
 	if w.cfg.OnObject != nil {
-		w.cfg.OnObject(t.segs, now-t.started)
+		w.cfg.OnObject(w.t.segs, now-w.t.started)
 	}
 	w.pump()
 }

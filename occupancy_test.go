@@ -18,7 +18,7 @@ import (
 // engine that kept one heap entry per Reset and per packet in flight held
 // thousands of entries here (5 601 on average when measured, for ~1 500 live
 // events). With one key per source the heap can never exceed the number of
-// sources — each flow's retransmission and delayed-ACK timers, each link's
+// sources — each flow's retransmission timer, each link's
 // transmit timer and arrival lane — however long the run.
 func TestPendingSetHoldsSourcesNotEvents(t *testing.T) {
 	if testing.Short() {

@@ -57,8 +57,8 @@ bench-micro:
 # Fast benchmark sanity pass for CI: run each microbenchmark once, the
 # allocation-budget tests that pin the zero-alloc hot paths (including the
 # disabled-metrics path, the SACK scoreboard, a drained queue's refill, a
-# flow's construction and a web session's recycled transfers), and the
-# metrics-overhead budget (<10% on
+# flow's construction, and a web session's recycled transfers and controller
+# under Reno, PERT and Vegas), and the metrics-overhead budget (<10% on
 # the benchmark dumbbell with sampling at the default interval; a wall-clock
 # ratio, so its file is excluded from -race builds and this is where it
 # gates).

@@ -48,18 +48,18 @@ const DefaultDecreaseFactor = 0.35
 type respond struct {
 	DecreaseFactor float64
 
-	sig      *Signal
+	sig      Signal
 	rng      *rand.Rand
 	lastResp sim.Time
 	hasResp  bool
 }
 
 func newRespond(rng *rand.Rand, weight, decrease float64) respond {
-	return respond{DecreaseFactor: decrease, sig: NewSignal(weight), rng: rng}
+	return respond{DecreaseFactor: decrease, sig: makeSignal(weight), rng: rng}
 }
 
 // Signal implements Responder.
-func (g *respond) Signal() *Signal { return g.sig }
+func (g *respond) Signal() *Signal { return &g.sig }
 
 // decide flips a coin biased to p, provided at least rtts smoothed round
 // trips have passed since the previous response (0 lifts the limit), and
@@ -106,7 +106,15 @@ type REDResponder struct {
 // NewREDResponder builds the paper's standard PERT responder with history
 // weight 0.99, the default curve, and a 35% decrease.
 func NewREDResponder(rng *rand.Rand) *REDResponder {
-	return NewREDResponderWith(rng, DefaultCurve(), DefaultHistoryWeight, DefaultDecreaseFactor)
+	r := StandardRED(rng)
+	return &r
+}
+
+// StandardRED is the responder NewREDResponder builds, by value, so that a
+// controller can hold it inline and rebuild it for every connection without
+// allocating.
+func StandardRED(rng *rand.Rand) REDResponder {
+	return REDResponder{respond: newRespond(rng, DefaultHistoryWeight, DefaultDecreaseFactor), Curve: DefaultCurve()}
 }
 
 // NewREDResponderWith builds a responder with explicit parameters (used by

@@ -53,10 +53,17 @@ const DefaultHistoryWeight = 0.99
 // NewSignal returns a predictor with history weight w (use
 // DefaultHistoryWeight for the paper's signal).
 func NewSignal(w float64) *Signal {
+	s := makeSignal(w)
+	return &s
+}
+
+// makeSignal is NewSignal by value, for the responders that hold their
+// signal inline.
+func makeSignal(w float64) Signal {
 	if w <= 0 || w >= 1 {
 		panic("core: EWMA history weight must be in (0,1)")
 	}
-	return &Signal{srtt: EWMA{W: w}, min: sim.MaxTime}
+	return Signal{srtt: EWMA{W: w}, min: sim.MaxTime}
 }
 
 // Observe folds in one instantaneous RTT sample.

@@ -56,7 +56,9 @@ func (e Env) Target() sim.Duration {
 type SchemeDef struct {
 	// Name is the registry key, e.g. "PERT" or "Sack/RED-ECN".
 	Name string
-	// CC builds a per-flow congestion-controller factory.
+	// CC builds a congestion-controller factory. A controller serves one
+	// connection at a time, reset by its Init at each start: a web session
+	// calls the factory once and reuses the controller for every object.
 	CC func(net *netem.Network, env Env) func() tcp.CongestionControl
 	// Queue builds the bottleneck queue factory (applies to both directions
 	// of a template's core links).
@@ -74,9 +76,9 @@ type SchemeDef struct {
 	// from their own connection's engine and whose queues either draw
 	// nothing or implement netem.RandBinder, so netem.Partition can rebind
 	// their marking RNG to the owning domain's engine. Every built-in
-	// scheme qualifies today — end-host responders are lazy (constructed
-	// per connection from c.Engine().Rand()) and the router AQMs (RED, PI,
-	// REM, AVQ) are rebound at partition time. Only shard-safe schemes may
+	// scheme qualifies today — end-host responders are lazy (built at each
+	// connection's Init from c.Engine().Rand()) and the router AQMs (RED,
+	// PI, REM, AVQ) are rebound at partition time. Only shard-safe schemes may
 	// appear in a Spec with Shards > 1: the flag is the opt-in gate for
 	// custom registrations, which cannot be verified mechanically.
 	ShardSafe bool

@@ -13,7 +13,11 @@ import (
 // three congestion signals (fast retransmit, retransmission timeout, ECN
 // echo).
 type CongestionControl interface {
-	// Init is called once when the connection starts.
+	// Init is called each time a connection starts, and is the
+	// controller's per-connection reset: it rebuilds every field that is not
+	// a parameter, so a controller reused for a later connection (a web
+	// session's next object) behaves exactly like a fresh one. A controller
+	// serves one live connection at a time.
 	Init(c *Conn)
 	// OnAck is called for every arriving ACK. newlyAcked is the number of
 	// segments the cumulative ACK point advanced (0 for duplicate ACKs);

@@ -30,8 +30,9 @@ type DUAL struct {
 // NewDUAL returns DUAL with the published parameters.
 func NewDUAL() *DUAL { return &DUAL{Beta: 7.0 / 8, Interval: 2} }
 
-// Init implements CongestionControl.
-func (d *DUAL) Init(*Conn) {}
+// Init implements CongestionControl: everything but the parameters starts
+// over.
+func (d *DUAL) Init(*Conn) { *d = DUAL{Beta: d.Beta, Interval: d.Interval} }
 
 // OnAck implements CongestionControl.
 func (d *DUAL) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, _ *netem.Packet) {
@@ -99,8 +100,9 @@ type CARD struct {
 // NewCARD returns the CARD controller.
 func NewCARD() *CARD { return &CARD{} }
 
-// Init implements CongestionControl.
-func (cd *CARD) Init(*Conn) {}
+// Init implements CongestionControl: CARD has no parameters, so all of it
+// starts over.
+func (cd *CARD) Init(*Conn) { *cd = CARD{} }
 
 // OnAck implements CongestionControl.
 func (cd *CARD) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, _ *netem.Packet) {

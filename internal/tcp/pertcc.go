@@ -15,25 +15,30 @@ import (
 // AQM/ECN-like queue behaviour from plain DropTail bottlenecks. Packet losses
 // still get the full standard SACK response.
 type PERT struct {
+	// Responder is the connection's responder, built by Init: Build's, or
+	// else red, the paper's standard one.
 	Responder core.Responder
 	// UseOWD feeds the responder forward one-way delays (echoed on ACKs by
 	// an OWD-measuring sink, see NewOWDFlow) instead of round-trip times.
 	UseOWD bool
-	// Build, if set and Responder is nil, constructs the responder at Init
-	// time with access to the live connection (and hence the engine's
-	// deterministic RNG). Used by ablation variants.
+	// Build, if set, constructs the responder at each Init with access to
+	// the live connection (and hence the engine's deterministic RNG). Used
+	// by ablation variants.
 	Build func(c *Conn) core.Responder
 	// Base supplies window growth and loss/ECN response; default Reno.
 	// The paper's footnote 1 observes that its argument applies to any
 	// loss-based probing — plugging in an aggressive high-speed base (see
 	// NewHSTCP) tests exactly that.
 	Base CongestionControl
+
+	red core.REDResponder
 }
 
 // NewPERTRed builds the paper's standard PERT: RED emulation with srtt_0.99,
 // thresholds P+5 ms / P+10 ms, pmax 0.05, gentle curve, and 35% decrease. The
-// responder is created lazily in Init so it draws from the connection's
-// deterministic RNG.
+// responder lives inside the controller and is rebuilt by every Init, so it
+// draws from the connection's deterministic RNG and a controller reused for
+// a later connection allocates nothing.
 func NewPERTRed() *PERT { return &PERT{} }
 
 // NewPERTLazy builds PERT whose responder is constructed per-connection at
@@ -42,20 +47,19 @@ func NewPERTLazy(build func(c *Conn) core.Responder) *PERT {
 	return &PERT{Build: build}
 }
 
-// Init implements CongestionControl.
+// Init implements CongestionControl: a fresh responder, and a reset base,
+// for every connection.
 func (p *PERT) Init(c *Conn) {
 	if p.Base == nil {
 		p.Base = Reno{}
 	}
 	p.Base.Init(c)
-	if p.Responder != nil {
-		return
-	}
 	if p.Build != nil {
 		p.Responder = p.Build(c)
 		return
 	}
-	p.Responder = core.NewREDResponder(c.Engine().Rand())
+	p.red = core.StandardRED(c.Engine().Rand())
+	p.Responder = &p.red
 }
 
 // Probe reports the responder's current congestion view for instrumentation:

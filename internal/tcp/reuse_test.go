@@ -2,8 +2,10 @@ package tcp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pert/internal/core"
 	"pert/internal/netem"
 	"pert/internal/queue"
 	"pert/internal/sim"
@@ -141,6 +143,111 @@ func TestReusedFlowMatchesFresh(t *testing.T) {
 		}()
 		f.Reuse(2, Reno{}, Config{})
 	})
+}
+
+// TestControllerReuseMatchesFresh: Init is a controller's per-connection
+// reset. Connection A runs until it has been through an RTO, SACK recovery
+// and an ECN response, and is closed mid-transfer. Connection B then runs on
+// a fresh flow, with either A's controller, re-Inited, or a fresh one from
+// the same constructor, over networks that are identical up to that point;
+// every send, the window state after every ACK, and every counter of B,
+// early responses included, must agree. Some leftovers cannot change what B
+// does (a field overwritten before it is read), so the re-Inited controller
+// must also equal a fresh one field by field.
+func TestControllerReuseMatchesFresh(t *testing.T) {
+	pps := 2e6 / 8 / 1040
+	pi := func(c *Conn) core.Responder {
+		return core.NewPIResponder(c.Engine().Rand(), core.DesignPERTPI(pps, 1, 60*sim.Millisecond),
+			sim.Seconds(1/pps), 3*sim.Millisecond)
+	}
+	for _, tc := range []struct {
+		name  string
+		cc    func() CongestionControl
+		early bool // B must respond early, or the responder's reset goes untested
+	}{
+		{"Reno", func() CongestionControl { return Reno{} }, false},
+		{"Vegas", func() CongestionControl { return NewVegas() }, false},
+		{"PERT", func() CongestionControl { return NewPERTRed() }, true},
+		{"PERT over HSTCP", func() CongestionControl { return &PERT{Base: NewHSTCP()} }, true},
+		{"HSTCP", func() CongestionControl { return NewHSTCP() }, false},
+		{"DUAL", func() CongestionControl { return NewDUAL() }, false},
+		{"CARD", func() CongestionControl { return NewCARD() }, false},
+		{"PERT-PI", func() CongestionControl { return NewPERTLazy(pi) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				sends []sendRec
+				acks  []ackRec
+				stats ConnStats
+				done  sim.Time
+			}
+			run := func(reuse bool, extra, gap sim.Duration) outcome {
+				var o outcome
+				eng, net, a, b := reuseBed(2, &o.sends)
+				cfg := Config{ECN: true}
+				ca := tc.cc()
+				fa := NewFlow(net, a, b, 1, ca, cfg)
+				fa.Start(0)
+				for st := &fa.Conn.Stats; st.RTOs == 0 || st.FastRecoveries == 0 || st.ECNResponses == 0; {
+					if eng.Now() > 300*sim.Second {
+						t.Fatalf("connection A never covered an RTO, SACK recovery and an ECN response: %+v", *st)
+					}
+					eng.Run(eng.Now() + sim.Millisecond)
+				}
+				eng.Run(eng.Now() + extra)
+				fa.Close()
+
+				cfg.TotalSegs = 1500
+				cfg.OnComplete = func(now sim.Time) { o.done = now }
+				cb := ca
+				if !reuse {
+					cb = tc.cc()
+				}
+				fb := NewFlow(net, a, b, 2, ackTap{cb, &o.acks}, cfg)
+				if reuse {
+					fresh := tc.cc()
+					ca.Init(fb.Conn)
+					fresh.Init(fb.Conn)
+					if got, want := resetState(ca), resetState(fresh); !reflect.DeepEqual(got, want) {
+						t.Fatalf("A+%v: re-Inited controller differs from a fresh one:\nreused %+v\nfresh  %+v", extra, got, want)
+					}
+				}
+				fb.Start(eng.Now() + gap)
+				eng.Run(eng.Now() + 300*sim.Second)
+				o.stats = fb.Conn.Stats
+				return o
+			}
+			// A is closed at several points of its run, and B starts
+			// into A's standing queue or onto a drained path, so that the
+			// state A leaves behind differs from what B builds up.
+			for _, extra := range []sim.Duration{0, 700 * sim.Millisecond, 1900 * sim.Millisecond} {
+				for _, gap := range []sim.Duration{0, sim.Second} {
+					fresh, reused := run(false, extra, gap), run(true, extra, gap)
+					if st := fresh.stats; fresh.done == 0 || st.FastRecoveries == 0 || tc.early && st.EarlyResponses == 0 {
+						t.Fatalf("A+%v, gap %v: premise: connection B completed at %v with %+v", extra, gap, fresh.done, st)
+					}
+					if i := firstDiff(fresh.sends, reused.sends); i >= 0 {
+						t.Fatalf("A+%v, gap %v: send %d differs: fresh %v, reused %v", extra, gap, i, at(fresh.sends, i), at(reused.sends, i))
+					}
+					if i := firstDiff(fresh.acks, reused.acks); i >= 0 {
+						t.Fatalf("A+%v, gap %v: state after ACK %d differs: fresh %v, reused %v", extra, gap, i, at(fresh.acks, i), at(reused.acks, i))
+					}
+					if fresh.stats != reused.stats || fresh.done != reused.done {
+						t.Fatalf("A+%v, gap %v: end state differs:\nfresh  %+v at %v\nreused %+v at %v", extra, gap, fresh.stats, fresh.done, reused.stats, reused.done)
+					}
+				}
+			}
+		})
+	}
+}
+
+// resetState is what Init must rebuild in cc: all of it, but for PERT all
+// except Build, a func, which reflect.DeepEqual never finds equal.
+func resetState(cc CongestionControl) any {
+	if p, ok := cc.(*PERT); ok {
+		return []any{p.Responder, p.UseOWD, p.Base, p.red}
+	}
+	return cc
 }
 
 // TestNewFlowAllocBudget: building and closing a flow costs five heap

@@ -31,10 +31,10 @@ func NewVegas() *Vegas {
 	return &Vegas{Alpha: 1, Beta: 3, Gamma: 1}
 }
 
-// Init implements CongestionControl.
-func (v *Vegas) Init(c *Conn) {
-	v.slowStart = true
-	v.epochEnd = 0
+// Init implements CongestionControl: everything but the parameters starts
+// over.
+func (v *Vegas) Init(*Conn) {
+	*v = Vegas{Alpha: v.Alpha, Beta: v.Beta, Gamma: v.Gamma, slowStart: true}
 }
 
 // OnAck implements CongestionControl.

@@ -189,27 +189,44 @@ func TestWebSessionStopsCleanly(t *testing.T) {
 	}
 }
 
+// startCheck is Reno with a hook on Init, which runs at every connection
+// start.
+type startCheck struct {
+	tcp.Reno
+	onStart func()
+}
+
+func (s startCheck) Init(c *tcp.Conn) {
+	s.onStart()
+	s.Reno.Init(c)
+}
+
 // TestSequentialDefaultUnchanged: a session fetches its pages' objects one
 // at a time, as the classic model does — each fetch starts only once the
-// previous object has completed.
+// previous object has completed. The check runs as each connection starts,
+// in its controller's Init: the session builds its controller once, so the
+// factory would see only the first object.
 func TestSequentialDefaultUnchanged(t *testing.T) {
 	eng, d := bed(23)
 	started, completed := 0, 0
+	check := func() {
+		if started != completed {
+			t.Fatalf("object %d started with %d still in flight", started+1, started-completed)
+		}
+		started++
+	}
 	s := StartWebSession(d.Net, NewIDs(), d.Left[0], d.Right[0], WebConfig{
 		MeanThink:      100 * sim.Millisecond,
 		ObjectsPerPage: 6,
-		CC: func() tcp.CongestionControl {
-			if started != completed {
-				t.Fatalf("object %d started with %d still in flight", started+1, started-completed)
-			}
-			started++
-			return tcp.Reno{}
-		},
-		OnObject: func(int64, sim.Duration) { completed++ },
+		CC:             func() tcp.CongestionControl { return startCheck{onStart: check} },
+		OnObject:       func(int64, sim.Duration) { completed++ },
 	}, 0)
 	eng.Run(30 * sim.Second)
 	if s.Pages < 10 || uint64(completed) < s.Pages {
 		t.Fatalf("premise: %d pages, %d objects completed", s.Pages, completed)
+	}
+	if started < completed {
+		t.Fatalf("the check ran for %d objects, but %d completed", started, completed)
 	}
 }
 
@@ -229,36 +246,49 @@ func TestWebTrafficIsBursty(t *testing.T) {
 	}
 }
 
-// TestWebSessionAllocBudget: a session recycles its transfers, so once its
-// first page is done it allocates nothing per object. The budget leaves room
-// for amortized growth: the demux maps churn through a new flow ID per
-// object, and the engine's slices and the packet pool grow to their
-// high-water marks. The window cap bounds the last: uncapped, every new
-// largest object of the heavy-tailed mix would raise it.
+// TestWebSessionAllocBudget: a session recycles its transfers and its
+// controller, so once its first page is done it allocates nothing per
+// object, whatever scheme it runs. The budget leaves room for amortized
+// growth: the demux maps churn through a new flow ID per object, and the
+// engine's slices and the packet pool grow to their high-water marks. The
+// window cap bounds the last: uncapped, every new largest object of the
+// heavy-tailed mix would raise it.
 func TestWebSessionAllocBudget(t *testing.T) {
-	eng := sim.NewEngine(21)
-	net := netem.NewNetwork(eng)
-	a, b := net.AddNode(), net.AddNode()
-	net.AddDuplexLink(a, b, 100e6, 5*sim.Millisecond, queue.NewDropTail(1000), queue.NewDropTail(1000))
-	net.ComputeRoutes()
-	done := 0
-	s := StartWebSession(net, NewIDs(), a, b, WebConfig{
-		MeanThink: 20 * sim.Millisecond,
-		Conn:      tcp.Config{MaxCwnd: 16},
-		OnObject:  func(int64, sim.Duration) { done++ },
-	}, 0)
-	for s.Pages < 2 {
-		eng.Run(eng.Now() + 10*sim.Millisecond)
-	}
-	const objects = 2000
-	first := done
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for done-first < objects {
-		eng.Run(eng.Now() + sim.Second)
-	}
-	runtime.ReadMemStats(&m1)
-	if per := float64(m1.Mallocs-m0.Mallocs) / float64(done-first); per >= 0.1 {
-		t.Fatalf("%.3f heap objects per web object over %d objects, budget is 0.1", per, done-first)
+	for _, tc := range []struct {
+		name string
+		cc   func() tcp.CongestionControl
+	}{
+		{"Reno", func() tcp.CongestionControl { return tcp.Reno{} }},
+		{"PERT", func() tcp.CongestionControl { return tcp.NewPERTRed() }},
+		{"Vegas", func() tcp.CongestionControl { return tcp.NewVegas() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(21)
+			net := netem.NewNetwork(eng)
+			a, b := net.AddNode(), net.AddNode()
+			net.AddDuplexLink(a, b, 100e6, 5*sim.Millisecond, queue.NewDropTail(1000), queue.NewDropTail(1000))
+			net.ComputeRoutes()
+			done := 0
+			s := StartWebSession(net, NewIDs(), a, b, WebConfig{
+				MeanThink: 20 * sim.Millisecond,
+				CC:        tc.cc,
+				Conn:      tcp.Config{MaxCwnd: 16},
+				OnObject:  func(int64, sim.Duration) { done++ },
+			}, 0)
+			for s.Pages < 2 {
+				eng.Run(eng.Now() + 10*sim.Millisecond)
+			}
+			const objects = 2000
+			first := done
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for done-first < objects {
+				eng.Run(eng.Now() + sim.Second)
+			}
+			runtime.ReadMemStats(&m1)
+			if per := float64(m1.Mallocs-m0.Mallocs) / float64(done-first); per >= 0.1 {
+				t.Fatalf("%.3f heap objects per web object over %d objects, budget is 0.1", per, done-first)
+			}
+		})
 	}
 }

@@ -17,8 +17,10 @@ type WebConfig struct {
 	ParetoShape    float64      // default 1.2
 	MeanObjectSegs float64      // mean object size in segments; default 12
 
-	// CC builds the controller for each transfer; default Reno (web
-	// background traffic is standard TCP in all the paper's experiments).
+	// CC builds the session's controller, once, at its first fetch; every
+	// later transfer reuses it, re-Inited (see CongestionControl.Init).
+	// Default Reno (web background traffic is standard TCP in all the
+	// paper's experiments).
 	CC func() tcp.CongestionControl
 	// Conn is the base connection configuration for transfers.
 	Conn tcp.Config
@@ -71,10 +73,11 @@ type WebSession struct {
 	remaining int // objects left on the current page
 
 	// t is the session's one transfer. Each object's fetch reuses the flow
-	// of the one before, so a session allocates one flow, not one per
-	// object. done is w.complete, bound once at construction, and serves as
-	// every fetch's OnComplete.
+	// and controller of the one before, so a session allocates one flow and
+	// one controller, not one per object. done is w.complete, bound once at
+	// construction, and serves as every fetch's OnComplete.
 	t    transfer
+	cc   tcp.CongestionControl
 	done func(sim.Time)
 }
 
@@ -103,12 +106,16 @@ func StartWebSession(net *netem.Network, ids *IDs, src, dst *netem.Node, cfg Web
 		w.crossDomain = true
 		tcp.AcceptSinks(net, dst)
 	}
-	w.eng.At(at, w.think)
+	w.eng.Post(at, startThink, w)
 	return w
 }
 
 // Stop ends the session after the in-flight object completes.
 func (w *WebSession) Stop() { w.stop = true }
+
+// startThink begins a session: a static function, so starting one allocates
+// no event closure.
+func startThink(a any) { a.(*WebSession).think() }
 
 func (w *WebSession) think() {
 	if w.stop {
@@ -144,7 +151,7 @@ func (w *WebSession) pump() {
 }
 
 // fetchOne transfers a single object over a fresh connection: a new flow
-// ID and controller, on the endpoints of the session's previous object when
+// ID, on the endpoints and controller of the session's previous object when
 // it has fetched one.
 func (w *WebSession) fetchOne() {
 	segs := int64(Pareto(w.eng.Rand(), w.cfg.ParetoShape, w.cfg.MeanObjectSegs))
@@ -158,17 +165,20 @@ func (w *WebSession) fetchOne() {
 	conn := w.cfg.Conn
 	conn.TotalSegs = segs
 	conn.OnComplete = w.done
-	flow, cc := w.ids.Next(), w.cfg.CC()
+	flow := w.ids.Next()
+	if w.cc == nil {
+		w.cc = w.cfg.CC()
+	}
 	switch {
 	case t.f.Conn != nil:
-		t.f.Reuse(flow, cc, conn)
+		t.f.Reuse(flow, w.cc, conn)
 	case w.crossDomain:
 		// Sender side only: attaching a Sink to the remote node here would
 		// race its shard. The server's SinkAcceptor builds the receiver
 		// when the first data segment arrives, and owns it thereafter.
-		t.f.Conn = tcp.NewConn(w.net, w.src, w.dst.ID, flow, cc, conn)
+		t.f.Conn = tcp.NewConn(w.net, w.src, w.dst.ID, flow, w.cc, conn)
 	default:
-		t.f = *tcp.NewFlow(w.net, w.src, w.dst, flow, cc, conn)
+		t.f = *tcp.NewFlow(w.net, w.src, w.dst, flow, w.cc, conn)
 	}
 	t.f.Start(w.eng.Now())
 }

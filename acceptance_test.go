@@ -8,29 +8,44 @@ import (
 
 	"pert/internal/experiments"
 	"pert/internal/fluid"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 )
 
-// spec is a small steady-state dumbbell scenario shared by the claims.
-func spec(seed int64) experiments.DumbbellSpec {
-	return experiments.DumbbellSpec{
-		Seed:         seed,
-		Bandwidth:    20e6,
-		RTTs:         []sim.Duration{60 * sim.Millisecond},
-		Flows:        8,
+// spec is a small steady-state Section 4 cell shared by the claims: flows
+// long-term flows under scheme (forward, reverse and web groups in that
+// order, the last two empty) over a 20 Mbps, 60 ms dumbbell.
+func spec(seed int64, flows int, scheme experiments.Scheme) scenario.Spec {
+	s, sw := string(scheme), sim.Seconds(3)
+	return scenario.Spec{
+		Seed: seed,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: 20e6,
+			RTTs:      []sim.Duration{60 * sim.Millisecond},
+		},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "fwd", Scheme: s, Count: flows, From: "left", To: "right", StartWindow: sw},
+			{Label: "rev", Scheme: s, From: "right", To: "left", StartWindow: sw},
+			{Label: "web", Scheme: s, From: "left", To: "right", Traffic: scenario.Web, StartWindow: sw},
+		},
 		Duration:     sim.Seconds(30),
 		MeasureFrom:  sim.Seconds(10),
 		MeasureUntil: sim.Seconds(30),
-		StartWindow:  sim.Seconds(3),
 	}
+}
+
+// run runs the claim's cell under scheme.
+func run(seed int64, flows int, scheme experiments.Scheme) experiments.DumbbellResult {
+	return experiments.RunDumbbell(spec(seed, flows, scheme), experiments.Attachments{})
 }
 
 // TestClaimAQMWithoutRouters is the paper's thesis: PERT over plain DropTail
 // achieves the queue/loss profile of router AQM with ECN.
 func TestClaimAQMWithoutRouters(t *testing.T) {
-	pert := experiments.RunDumbbell(spec(1), experiments.PERT)
-	droptail := experiments.RunDumbbell(spec(1), experiments.SackDroptail)
-	red := experiments.RunDumbbell(spec(1), experiments.SackRED)
+	pert := run(1, 8, experiments.PERT)
+	droptail := run(1, 8, experiments.SackDroptail)
+	red := run(1, 8, experiments.SackRED)
 
 	if pert.AvgQueue >= droptail.AvgQueue/2 {
 		t.Errorf("PERT queue %.1f vs DropTail %.1f: expected large reduction", pert.AvgQueue, droptail.AvgQueue)
@@ -53,10 +68,8 @@ func TestClaimAQMWithoutRouters(t *testing.T) {
 // response, PERT keeps MD and with it near-perfect fairness among equal
 // flows.
 func TestClaimFairnessBeatsVegas(t *testing.T) {
-	s := spec(2)
-	s.Flows = 12
-	pert := experiments.RunDumbbell(s, experiments.PERT)
-	vegas := experiments.RunDumbbell(s, experiments.Vegas)
+	pert := run(2, 12, experiments.PERT)
+	vegas := run(2, 12, experiments.Vegas)
 	if pert.Jain < vegas.Jain-0.005 {
 		t.Errorf("PERT Jain %.3f below Vegas %.3f", pert.Jain, vegas.Jain)
 	}
@@ -82,7 +95,7 @@ func TestClaimStabilityBoundary(t *testing.T) {
 // TestClaimPIEmulation: PERT emulating PI holds the queue near the target
 // with essentially no drops (Section 6's preliminary result).
 func TestClaimPIEmulation(t *testing.T) {
-	r := experiments.RunDumbbell(spec(3), experiments.PERTPI)
+	r := run(3, 8, experiments.PERTPI)
 	if r.DropRate > 1e-3 {
 		t.Errorf("PERT/PI drop rate %.2g", r.DropRate)
 	}

@@ -188,7 +188,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 // "other AQM schemes" claim).
 func BenchmarkAblationResponderKind(b *testing.B) {
 	spec := experiments.AblationSpec(26)
-	pps := spec.Bandwidth / (8 * 1040)
+	pps, flows := spec.Topology.Bandwidth/(8*1040), spec.Groups[0].Count // the forward group
 	kinds := []struct {
 		name string
 		cc   func() tcp.CongestionControl
@@ -196,9 +196,9 @@ func BenchmarkAblationResponderKind(b *testing.B) {
 		{"red", func() tcp.CongestionControl { return tcp.NewPERTRed() }},
 		{"pi", func() tcp.CongestionControl {
 			return tcp.NewPERTLazy(func(c *tcp.Conn) core.Responder {
-				params := core.DesignPERTPI(pps, spec.Flows, 120*sim.Millisecond)
+				params := core.DesignPERTPI(pps, flows, 120*sim.Millisecond)
 				return core.NewPIResponder(c.Engine().Rand(), params,
-					sim.Seconds(float64(spec.Flows)/pps), 3*sim.Millisecond)
+					sim.Seconds(float64(flows)/pps), 3*sim.Millisecond)
 			})
 		}},
 		{"rem", func() tcp.CongestionControl {
@@ -216,7 +216,7 @@ func BenchmarkAblationResponderKind(b *testing.B) {
 		b.Run(k.name, func(b *testing.B) {
 			var r experiments.DumbbellResult
 			for i := 0; i < b.N; i++ {
-				r = experiments.RunDumbbellWith(spec, k.cc)
+				r = experiments.RunDumbbell(spec, experiments.Attachments{CC: k.cc})
 			}
 			reportAblation(b, r)
 		})

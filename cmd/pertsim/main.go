@@ -1,29 +1,28 @@
-// Command pertsim runs one single-bottleneck scenario and reports the
-// paper's four panels (queue, drops, utilization, fairness) plus latency
-// percentiles, optionally emitting a packet trace and a queue-length time
-// series.
+// Command pertsim runs one scenario. Its flags describe one Section 4
+// dumbbell cell and report the paper's four panels (queue, drops,
+// utilization, fairness) plus latency percentiles, optionally emitting a
+// packet trace, a queue-length time series and the full metrics series.
 //
 // Examples:
 //
 //	pertsim -scheme PERT -bw 50e6 -rtt 60ms -flows 20 -web 50 -dur 60s
-//	pertsim -config scenario.json -trace pkts.tr -qseries queue.csv
+//	pertsim -flows 8 -trace pkts.tr -qseries queue.csv
 //	pertsim -config mixed.json              # schema v2: any topology/groups
 //	pertsim -config mixed.json -validate    # check a scenario without running
 //	pertsim -config mixed.json -cache-dir results/cache   # replay if committed
 //	pertsim -scheme Vegas -json     # one-row table in the stable JSON schema
 //	pertsim -loss 0.01 -reorder 0.001 -dup 0.0005   # injected wire faults
 //
-// A -config file may use either the legacy flat dumbbell schema or scenario
-// schema v2 (a "topology"/"groups" object — see EXPERIMENTS.md); v2 files
-// run through the scenario compiler and may mix schemes and templates. V2
-// runs execute under the harness, so they honor -timeout, -stall-window,
-// and the content-addressed result cache (-cache-dir): a committed run
-// replays instantly, byte-identical tables included.
+// A -config file is a scenario schema v2 document (a "topology"/"groups"
+// object — see EXPERIMENTS.md); it runs through the scenario compiler and
+// may mix schemes and templates. Config runs execute under the harness, so
+// they honor -timeout, -stall-window, and the content-addressed result
+// cache (-cache-dir): a committed run replays instantly, byte-identical
+// tables included. -trace, -qseries and -metrics are flag-run outputs.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -70,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reorder := fs.Float64("reorder", 0, "packet reordering probability on the bottleneck, [0,1)")
 	reorderExtra := fs.Duration("reorder-extra", 5*time.Millisecond, "extra holding delay bound for reordered packets")
 	jsonOut := fs.Bool("json", false, "emit the result as a one-row JSON table (schema in EXPERIMENTS.md)")
-	config := fs.String("config", "", "load the scenario from a JSON file (overrides topology/traffic flags); legacy flat schema or scenario schema v2")
+	config := fs.String("config", "", "run a scenario schema v2 JSON file instead of the flag-described dumbbell (see EXPERIMENTS.md)")
 	validate := fs.Bool("validate", false, "with -config: parse and validate the scenario, print its summary, and exit without running")
 	tracePath := fs.String("trace", "", "write an ns-2-style packet trace of the bottleneck to this file")
 	qseriesPath := fs.String("qseries", "", "write a queue-length time series (CSV) to this file")
@@ -100,57 +99,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if shared.FsckRequested() {
 		return shared.RunFsck(stdout, stderr)
 	}
-	spec := experiments.DumbbellSpec{
-		Seed:         shared.Seed(),
-		Bandwidth:    *bw,
-		Flows:        *flows,
-		ReverseFlows: *revFlows,
-		WebSessions:  *web,
-		BufferPkts:   *buffer,
-		Duration:     sim.Time(*dur),
-		MeasureFrom:  sim.Time(*warm),
-		MeasureUntil: sim.Time(*dur),
-		StartWindow:  sim.Time(*warm) / 2,
-		AccessJitter: sim.Time(*jitter),
-		LossRate:     *loss,
-		DupRate:      *dup,
-		ReorderRate:  *reorder,
-		ReorderExtra: sim.Time(*reorderExtra),
-	}
-	if *rtts != "" {
-		for _, s := range strings.Split(*rtts, ",") {
-			d, err := time.ParseDuration(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(stderr, "pertsim: bad -rtts entry %q: %v\n", s, err)
-				return 2
-			}
-			spec.RTTs = append(spec.RTTs, sim.Time(d))
-		}
-	} else {
-		spec.RTTs = []sim.Duration{sim.Time(*rtt)}
-	}
-
 	if *config != "" {
-		raw, err := os.ReadFile(*config)
+		if *tracePath != "" || *qseriesPath != "" || *metricsPath != "" {
+			fmt.Fprintln(stderr, "pertsim: -trace, -qseries and -metrics apply to flag runs only, not to a -config scenario")
+			return 2
+		}
+		f, err := os.Open(*config)
 		if err != nil {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)
 			return 1
 		}
-		if scenario.IsV2(raw) {
-			return runV2(ctx, raw, shared, *validate, *jsonOut, stdout, stderr)
-		}
-		loaded, sch, err := experiments.LoadScenario(bytes.NewReader(raw))
-		if err != nil {
-			fmt.Fprintf(stderr, "pertsim: %v\n", err)
-			return 1
-		}
-		if *validate {
-			fmt.Fprintf(stdout, "pertsim: %s is a valid legacy dumbbell scenario (scheme %s, %d+%d flows, %d web)\n",
-				*config, sch, loaded.Flows, loaded.ReverseFlows, loaded.WebSessions)
-			return 0
-		}
-		spec = loaded
-		*scheme = string(sch)
+		defer f.Close()
+		return runV2(ctx, f, shared, *validate, *jsonOut, stdout, stderr)
 	}
 	if shared.CacheRequested() {
 		// Ad-hoc flag runs carry Go-only instrumentation hooks and are not
@@ -164,16 +124,64 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pertsim: -isolate requires a schema-v2 -config (see EXPERIMENTS.md)")
 		return 2
 	}
-	// One rule set for flag and flat-file runs alike (the loader has already
-	// applied it to a file): bad input is a one-line error, never a panic.
-	if err := spec.Validate(experiments.Scheme(*scheme)); err != nil {
+
+	// The flags describe one Section 4 cell: forward, reverse and web groups
+	// in that order, and the forward bottleneck's fault rule.
+	rttList := []sim.Duration{sim.Time(*rtt)}
+	if *rtts != "" {
+		rttList = nil
+		for _, s := range strings.Split(*rtts, ",") {
+			d, err := time.ParseDuration(strings.TrimSpace(s))
+			if err != nil {
+				fmt.Fprintf(stderr, "pertsim: bad -rtts entry %q: %v\n", s, err)
+				return 2
+			}
+			rttList = append(rttList, sim.Time(d))
+		}
+	}
+	startWindow := sim.Time(*warm) / 2
+	spec := scenario.Spec{
+		Seed: shared.Seed(),
+		Topology: scenario.TopologySpec{
+			Template:     scenario.DumbbellTemplate,
+			Bandwidth:    *bw,
+			RTTs:         rttList,
+			BufferPkts:   *buffer,
+			AccessJitter: sim.Time(*jitter),
+			AQM:          *scheme,
+		},
+		Links: []scenario.LinkRule{{
+			Link:         "forward",
+			LossRate:     *loss,
+			DupRate:      *dup,
+			ReorderRate:  *reorder,
+			ReorderExtra: sim.Time(*reorderExtra),
+		}},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "fwd", Scheme: *scheme, Count: *flows, From: "left", To: "right", StartWindow: startWindow},
+			{Label: "rev", Scheme: *scheme, Count: *revFlows, From: "right", To: "left", StartWindow: startWindow},
+			{Label: "web", Scheme: *scheme, Count: *web, From: "left", To: "right", Traffic: scenario.Web, StartWindow: startWindow},
+		},
+		Duration:     sim.Time(*dur),
+		MeasureFrom:  sim.Time(*warm),
+		MeasureUntil: sim.Time(*dur),
+	}
+	// Bad input is a one-line error, never a panic.
+	err = experiments.CheckCell(spec)
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "pertsim: %v\n", err)
 		return 2
 	}
 
 	// closers flush and close every output file once the run is over; the
-	// first error among them fails the command.
+	// first error among them fails the command. hooks run, in order, on the
+	// built topology before traffic starts.
 	var closers []func() error
+	var hooks []func(*topo.Dumbbell)
+	var at experiments.Attachments
 	if *tracePath != "" {
 		w, closeFn, err := createBuffered(*tracePath)
 		if err != nil {
@@ -181,13 +189,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		closers = append(closers, closeFn)
-		prev := spec.Instrument
-		spec.Instrument = func(d *topo.Dumbbell) {
-			if prev != nil {
-				prev(d)
-			}
-			netem.NewTracer(w).Attach(d.Forward)
-		}
+		hooks = append(hooks, func(d *topo.Dumbbell) { netem.NewTracer(w).Attach(d.Forward) })
 	}
 	if *qseriesPath != "" {
 		w, closeFn, err := createBuffered(*qseriesPath)
@@ -196,16 +198,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		closers = append(closers, closeFn)
-		prev := spec.Instrument
-		spec.Instrument = func(d *topo.Dumbbell) {
-			if prev != nil {
-				prev(d)
-			}
+		hooks = append(hooks, func(d *topo.Dumbbell) {
 			fmt.Fprintln(w, "t_s,queue_pkts")
 			d.Net.Engine().Every(0, 10*sim.Millisecond, func(now sim.Time) {
 				fmt.Fprintf(w, "%.3f,%d\n", now.Seconds(), d.Forward.Queue.Len())
 			})
-		}
+		})
 	}
 
 	if *metricsPath != "" {
@@ -220,11 +218,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		} else {
 			sw = obs.NewJSONLWriter(f)
 		}
-		spec.Metrics = &experiments.MetricsSpec{Sink: sw, Interval: sim.Duration(shared.MetricsInterval())}
+		at.Metrics = &experiments.MetricsSpec{Sink: sw, Interval: sim.Duration(shared.MetricsInterval())}
 		closers = append(closers, func() error { return flushClose(sw, f) })
 	}
 
-	res := experiments.RunDumbbell(spec, experiments.Scheme(*scheme))
+	if len(hooks) > 0 {
+		at.Instrument = func(d *topo.Dumbbell) {
+			for _, h := range hooks {
+				h(d)
+			}
+		}
+	}
+	res := experiments.RunDumbbell(spec, at)
 	var closeErr error
 	for _, c := range closers {
 		if err := c(); closeErr == nil {
@@ -236,7 +241,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *jsonOut {
-		if err := resultTable(spec, res).FprintJSON(stdout); err != nil {
+		if err := resultTable(spec.Seed, res).FprintJSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)
 			return 1
 		}
@@ -258,10 +263,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // it as a one-cell harness sweep — which is what routes single pertsim runs
 // through the content-addressed result cache and the watchdogs — and render
 // the standard panels from the report.
-func runV2(ctx context.Context, raw []byte, shared *cliconfig.Builder,
+func runV2(ctx context.Context, doc io.Reader, shared *cliconfig.Builder,
 	validateOnly, jsonOut bool, stdout, stderr io.Writer) int {
 
-	sp, err := scenario.Load(bytes.NewReader(raw))
+	sp, err := scenario.Load(doc)
 	if err != nil {
 		fmt.Fprintf(stderr, "pertsim: %v\n", err)
 		return 1
@@ -331,7 +336,7 @@ func runV2(ctx context.Context, raw []byte, shared *cliconfig.Builder,
 
 // resultTable renders one scenario result in the stable JSON table schema,
 // so single runs feed the same plotting pipelines as pertbench sweeps.
-func resultTable(spec experiments.DumbbellSpec, res experiments.DumbbellResult) *experiments.Table {
+func resultTable(seed int64, res experiments.DumbbellResult) *experiments.Table {
 	t := &experiments.Table{
 		ID:    "pertsim",
 		Title: "Single-bottleneck scenario result",
@@ -349,7 +354,7 @@ func resultTable(spec experiments.DumbbellSpec, res experiments.DumbbellResult) 
 			"jain":           "index",
 		},
 	}
-	t.AddRow(string(res.Scheme), fmt.Sprint(spec.Seed), fmt.Sprint(res.BufferPkts),
+	t.AddRow(string(res.Scheme), fmt.Sprint(seed), fmt.Sprint(res.BufferPkts),
 		fmt.Sprintf("%.2f", res.AvgQueue), fmt.Sprintf("%.3f", res.NormQueue),
 		fmt.Sprintf("%.2f", res.DelayP50*1000), fmt.Sprintf("%.2f", res.DelayP99*1000),
 		fmt.Sprintf("%.3g", res.DropRate), fmt.Sprintf("%.3g", res.MarkRate),

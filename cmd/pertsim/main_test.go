@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,13 +50,51 @@ func TestTraceAndQSeriesFiles(t *testing.T) {
 func TestConfigFile(t *testing.T) {
 	dir := t.TempDir()
 	cfg := filepath.Join(dir, "sc.json")
-	os.WriteFile(cfg, []byte(`{"scheme":"Vegas","bandwidth_bps":5e6,"flows":2,"duration":"8s","measure_from":"2s"}`), 0o644)
+	os.WriteFile(cfg, []byte(`{"name":"vegas-cell","duration":"8s","measure_from":"2s",
+		"topology":{"template":"dumbbell","bandwidth_bps":5e6},
+		"groups":[{"label":"fwd","scheme":"Vegas","count":2,"from":"left","to":"right"}]}`), 0o644)
 	var out, errb bytes.Buffer
 	if code := run(context.Background(), []string{"-config", cfg}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "scheme         Vegas") {
-		t.Fatalf("config scheme not applied:\n%s", out.String())
+	for _, want := range []string{"vegas-cell", "link forward", "group fwd"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("config not run as written (missing %q):\n%s", want, out.String())
+		}
+	}
+}
+
+// TestFlatConfigRejected: the flat dumbbell document schema is gone; such a
+// file is a one-line error (exit 1) pointing at schema v2, run or -validate.
+func TestFlatConfigRejected(t *testing.T) {
+	cfg := filepath.Join(t.TempDir(), "flat.json")
+	os.WriteFile(cfg, []byte(`{"scheme":"Vegas","bandwidth_bps":5e6,"flows":2,"duration":"8s","measure_from":"2s"}`), 0o644)
+	for _, args := range [][]string{{"-config", cfg}, {"-config", cfg, "-validate"}} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "schema v2") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want one line naming schema v2, got %q", args, msg)
+		}
+	}
+}
+
+// TestConfigRejectsFlagOutputs: -trace, -qseries and -metrics describe the
+// flag-built dumbbell; with a -config they would write nothing, so the
+// combination is a usage error (exit 2) before anything runs.
+func TestConfigRejectsFlagOutputs(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range []string{"-trace", "-qseries", "-metrics"} {
+		out := filepath.Join(dir, flag[1:])
+		var stdout, errb bytes.Buffer
+		code := run(context.Background(), []string{"-config", "../../examples/scenarios/mixed_dumbbell.json", flag, out}, &stdout, &errb)
+		if code != 2 || !strings.HasPrefix(errb.String(), "pertsim: ") || strings.Count(errb.String(), "\n") != 1 {
+			t.Errorf("%s with -config: exit %d, stderr %q; want exit 2 and one line", flag, code, errb.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s with -config created %s", flag, out)
+		}
 	}
 }
 
@@ -113,18 +153,20 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestBadInputIsAnErrorNotAPanic: every flag and flat-file input the one
+// TestBadInputIsAnErrorNotAPanic: every flag and config-file input the one
 // validator rejects exits non-zero (2 for flags, 1 for a config file) with a
 // single-line message — never a goroutine trace — and -validate agrees.
 func TestBadInputIsAnErrorNotAPanic(t *testing.T) {
 	dir := t.TempDir()
-	v1 := func(name, doc string) string {
+	doc := func(name, topo, groups string) string {
 		path := filepath.Join(dir, name+".json")
-		os.WriteFile(path, []byte(doc), 0o644)
+		os.WriteFile(path, []byte(`{"duration":"5s","topology":{"template":"dumbbell","bandwidth_bps":1e6,`+topo+`},"groups":[`+groups+`]}`), 0o644)
 		return path
 	}
-	negFlows := v1("negflows", `{"bandwidth_bps":1e6,"flows":-1,"web_sessions":2,"duration":"5s"}`)
-	zeroRTT := v1("zerortt", `{"bandwidth_bps":1e6,"flows":2,"rtts":["0ms"],"duration":"5s"}`)
+	negFlows := doc("negflows", `"rtts":["60ms"]`,
+		`{"scheme":"PERT","count":-1,"from":"left","to":"right"},{"scheme":"PERT","count":2,"from":"left","to":"right","traffic":"web"}`)
+	zeroRTT := doc("zerortt", `"rtts":["0ms"]`, `{"scheme":"PERT","count":2,"from":"left","to":"right"}`)
+	shortRTT := doc("shortrtt", `"delay":"20ms","rtts":["10ms"]`, `{"scheme":"PERT","count":2,"from":"left","to":"right"}`)
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -134,10 +176,13 @@ func TestBadInputIsAnErrorNotAPanic(t *testing.T) {
 		{[]string{"-bw", "0"}, 2},
 		{[]string{"-rtt", "0"}, 2},
 		{[]string{"-loss", "1.5"}, 2},
+		{[]string{"-rtts", "120ms,12ms"}, 2},
+		{[]string{"-flows", "0", "-reverse", "2"}, 2},
 		{[]string{"-config", negFlows}, 1},
 		{[]string{"-config", negFlows, "-validate"}, 1},
 		{[]string{"-config", zeroRTT}, 1},
 		{[]string{"-config", zeroRTT, "-validate"}, 1},
+		{[]string{"-config", shortRTT, "-validate"}, 1},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(context.Background(), tc.args, &out, &errb); code != tc.code {
@@ -292,5 +337,41 @@ func TestOutputWriteErrorsExit1(t *testing.T) {
 		if code != 1 || !strings.Contains(errb.String(), "no space left on device") {
 			t.Errorf("%s /dev/full: exit %d, stderr %q", flag, code, errb.String())
 		}
+	}
+}
+
+// TestFlagPathGolden pins the flag path byte for byte: the -json table and
+// the SHA-256 of the -trace file for one flag set that exercises reverse
+// flows, web sessions, heterogeneous RTTs, access jitter, every wire fault
+// and the buffer sizing rule (-buffer 0). Nothing else runs this path
+// against a recorded result, so a change in how flags become a scenario
+// shows here first.
+func TestFlagPathGolden(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "p.tr")
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-scheme", "PERT", "-bw", "4e6", "-flows", "4",
+		"-reverse", "1", "-web", "3", "-rtts", "60ms,90ms", "-jitter", "1ms",
+		"-loss", "0.002", "-dup", "0.001", "-reorder", "0.001", "-buffer", "0",
+		"-dur", "20s", "-warm", "5s", "-seed", "7", "-json", "-trace", tr}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flagpath.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-json output differs from testdata/flagpath.json:\n%s", out.String())
+	}
+	trace, err := os.ReadFile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum, err := os.ReadFile(filepath.Join("testdata", "flagpath.trace.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != strings.TrimSpace(string(wantSum)) {
+		t.Errorf("trace SHA-256 = %s, want %s", got, strings.TrimSpace(string(wantSum)))
 	}
 }

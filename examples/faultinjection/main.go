@@ -12,6 +12,7 @@ import (
 
 	"pert/internal/experiments"
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/topo"
 )
@@ -35,22 +36,33 @@ func main() {
 
 	for _, s := range []experiments.Scheme{experiments.PERT, experiments.SackDroptail} {
 		var bottleneck *netem.Link
-		r := experiments.RunDumbbell(experiments.DumbbellSpec{
-			Seed:         7,
-			Bandwidth:    30e6,
-			RTTs:         []sim.Duration{60 * sim.Millisecond},
-			Flows:        12,
+		scheme, sw := string(s), sim.Seconds(5)
+		r := experiments.RunDumbbell(scenario.Spec{
+			Seed: 7,
+			Topology: scenario.TopologySpec{
+				Template:  scenario.DumbbellTemplate,
+				Bandwidth: 30e6,
+				RTTs:      []sim.Duration{60 * sim.Millisecond},
+			},
+			Links: []scenario.LinkRule{{
+				Link:         "forward",
+				LossRate:     0.01,
+				DupRate:      0.001,
+				ReorderRate:  0.005,
+				ReorderExtra: 5 * sim.Millisecond,
+				Schedule:     schedule,
+			}},
+			Groups: []scenario.FlowGroupSpec{
+				{Label: "fwd", Scheme: scheme, Count: 12, From: "left", To: "right", StartWindow: sw},
+				{Label: "rev", Scheme: scheme, From: "right", To: "left", StartWindow: sw},
+				{Label: "web", Scheme: scheme, From: "left", To: "right", Traffic: scenario.Web, StartWindow: sw},
+			},
 			Duration:     sim.Seconds(50),
 			MeasureFrom:  sim.Seconds(10),
 			MeasureUntil: sim.Seconds(50),
-			StartWindow:  sim.Seconds(5),
-			LossRate:     0.01,
-			DupRate:      0.001,
-			ReorderRate:  0.005,
-			ReorderExtra: 5 * sim.Millisecond,
-			Schedule:     schedule,
-			Instrument:   func(d *topo.Dumbbell) { bottleneck = d.Forward },
-		}, s)
+		}, experiments.Attachments{
+			Instrument: func(d *topo.Dumbbell) { bottleneck = d.Forward },
+		})
 		st := bottleneck.Impairments()
 		fmt.Printf("%-14s %10.1f %10d %10.2g %8.3f %12.2g\n",
 			r.Scheme, r.AvgQueue, st.WireLost, r.DropRate, r.Utilization, r.RetransOverhead)

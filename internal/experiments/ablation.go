@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"pert/internal/core"
-	"pert/internal/sim"
+	"pert/internal/scenario"
 	"pert/internal/tcp"
 )
 
@@ -41,24 +41,21 @@ func (v PERTVariant) CC() func() tcp.CongestionControl {
 
 // AblationSpec is the standard small scenario ablations run on: a moderately
 // multiplexed DropTail dumbbell where PERT's early response is the only
-// queue-management mechanism.
-func AblationSpec(seed int64) DumbbellSpec {
-	return DumbbellSpec{
-		Seed:         seed,
-		Bandwidth:    30e6,
-		RTTs:         []sim.Duration{ms(60)},
-		Flows:        12,
-		WebSessions:  10,
-		Duration:     seconds(40),
-		MeasureFrom:  seconds(10),
-		MeasureUntil: seconds(40),
-		StartWindow:  seconds(4),
+// queue-management mechanism. Its groups name no scheme: the variant's
+// controller (Attachments.CC) runs every flow.
+func AblationSpec(seed int64) scenario.Spec {
+	spec := Quick.dumbbell(seed, 30, 12)
+	spec.Groups[webGroup].Count = 10
+	spec.Duration, spec.MeasureFrom, spec.MeasureUntil = seconds(40), seconds(10), seconds(40)
+	for i := range spec.Groups {
+		spec.Groups[i].StartWindow = seconds(4)
 	}
+	return spec
 }
 
 // RunAblation executes the variant on the standard ablation scenario.
 func RunAblation(v PERTVariant, seed int64) DumbbellResult {
-	res := RunDumbbellWith(AblationSpec(seed), v.CC())
+	res := RunDumbbell(AblationSpec(seed), Attachments{CC: v.CC()})
 	res.Scheme = Scheme("PERT[" + v.Name + "]")
 	return res
 }

@@ -1,154 +1,149 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 )
 
+// section4Doc is the schema-v2 document EXPERIMENTS.md gives for a Section 4
+// cell: ext-lossy's 1%-loss PERT cell at quick scale, with the host and
+// buffer rule written out.
+const section4Doc = "testdata/section4_cell.json"
+
+func loadSection4Doc(t *testing.T) scenario.Spec {
+	t.Helper()
+	f, err := os.Open(section4Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spec, err := scenario.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestLoadScenario: the documented v2 document is exactly the cell ext-lossy
+// builds, once sizeDumbbell has written out the host and buffer rule — and
+// EXPERIMENTS.md carries it verbatim.
 func TestLoadScenario(t *testing.T) {
-	in := `{
-		"scheme": "PERT",
-		"seed": 7,
-		"bandwidth_bps": 30e6,
-		"rtts": ["60ms", "100ms"],
-		"flows": 8,
-		"web_sessions": 5,
-		"duration": "40s",
-		"measure_from": "10s",
-		"access_jitter": "2ms"
-	}`
-	spec, scheme, err := LoadScenario(strings.NewReader(in))
+	want := Quick.dumbbell(9502, 30, 12)
+	want.Links[0].LossRate = 0.01
+	want = PERT.on(want)
+	sizeDumbbell(&want)
+	got := loadSection4Doc(t)
+	got.Name = ""
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("document differs from the ext-lossy cell:\n  doc:  %+v\n  cell: %+v", got, want)
+	}
+
+	doc, err := os.ReadFile(section4Doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scheme != PERT {
-		t.Fatalf("scheme = %v", scheme)
-	}
-	if spec.Bandwidth != 30e6 || spec.Flows != 8 || spec.WebSessions != 5 {
-		t.Fatalf("spec = %+v", spec)
-	}
-	if len(spec.RTTs) != 2 || spec.RTTs[0] != 60*sim.Millisecond || spec.RTTs[1] != 100*sim.Millisecond {
-		t.Fatalf("rtts = %v", spec.RTTs)
-	}
-	if spec.Duration != seconds(40) || spec.MeasureFrom != seconds(10) || spec.MeasureUntil != seconds(40) {
-		t.Fatalf("window = %v %v %v", spec.Duration, spec.MeasureFrom, spec.MeasureUntil)
-	}
-	if spec.AccessJitter != ms(2) {
-		t.Fatalf("jitter = %v", spec.AccessJitter)
-	}
-	if spec.StartWindow != seconds(5) { // default measure_from/2
-		t.Fatalf("start window = %v", spec.StartWindow)
-	}
-}
-
-func TestLoadScenarioDefaults(t *testing.T) {
-	spec, scheme, err := LoadScenario(strings.NewReader(`{"bandwidth_bps": 1e6, "flows": 1, "duration": "10s"}`))
+	guide, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scheme != PERT {
-		t.Fatalf("default scheme = %v", scheme)
-	}
-	if len(spec.RTTs) != 1 || spec.RTTs[0] != 60*sim.Millisecond {
-		t.Fatalf("default rtts = %v", spec.RTTs)
-	}
-	if spec.MeasureFrom != spec.Duration/4 {
-		t.Fatalf("default measure_from = %v", spec.MeasureFrom)
+	if !bytes.Contains(guide, doc) {
+		t.Errorf("EXPERIMENTS.md does not carry %s verbatim", section4Doc)
 	}
 }
 
+// TestLoadScenarioRuns: the sized spec builds the same network under
+// RunScenario as under RunDumbbell, so the two runners report the same
+// bottleneck panel for it (over a shortened run, to keep the test cheap).
+func TestLoadScenarioRuns(t *testing.T) {
+	spec := loadSection4Doc(t)
+	spec.Duration, spec.MeasureFrom, spec.MeasureUntil = seconds(12), seconds(6), seconds(12)
+	tab, err := RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := RunDumbbell(spec, Attachments{})
+	want := []string{"link forward", f2(r.AvgQueue), sci(r.DropRate), sci(r.MarkRate), f3(r.Utilization)}
+	if got := tab.Rows[0][:5]; !reflect.DeepEqual(got, want) {
+		t.Errorf("RunScenario forward row %v, RunDumbbell %v", got, want)
+	}
+	if r.Utilization <= 0.3 {
+		t.Fatalf("document-driven run idle: %+v", r)
+	}
+}
+
+// TestLoadScenarioRejectsBadInput: the flat schema this package used to load
+// is gone; a flat document fails to decode with an error that points at
+// schema v2.
 func TestLoadScenarioRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"garbage":                       `nope`,
-		"unknown field":                 `{"bandwidth_bps":1e6,"flows":1,"duration":"1s","bogus":1}`,
-		"no bandwidth":                  `{"flows":1,"duration":"10s"}`,
-		"no traffic":                    `{"bandwidth_bps":1e6,"duration":"10s"}`,
-		"no duration":                   `{"bandwidth_bps":1e6,"flows":1}`,
-		"bad rtt":                       `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","rtts":["abc"]}`,
-		"bad jitter":                    `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","access_jitter":"xyz"}`,
-		"negative duration":             `{"bandwidth_bps":1e6,"flows":1,"duration":"-5s"}`,
-		"negative jitter":               `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","access_jitter":"-2ms"}`,
-		"negative start window":         `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","start_window":"-1s"}`,
-		"measure_from at end":           `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","measure_from":"10s"}`,
-		"bad target_delay":              `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","target_delay":"-3ms"}`,
-		"unknown scheme":                `{"scheme":"TURBO","bandwidth_bps":1e6,"flows":1,"duration":"10s"}`,
-		"loss_rate >= 1":                `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","loss_rate":1.0}`,
-		"negative dup_rate":             `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","dup_rate":-0.1}`,
-		"reorder_rate >= 1":             `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","reorder_rate":2}`,
-		"bad reorder_extra":             `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","reorder_extra":"-1ms"}`,
-		"measure_until beyond duration": `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","measure_until":"12s"}`,
-		"measure_until before from":     `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","measure_from":"5s","measure_until":"4s"}`,
-		"schedule beyond duration":      `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"11s","capacity_bps":5e5}]}`,
-		"schedule negative capacity":    `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"5s","capacity_bps":-1}]}`,
-		"schedule down and up":          `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"5s","down":true,"up":true}]}`,
-		"schedule bad time":             `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","schedule":[{"at":"wat"}]}`,
-		"measure_until zero":            `{"bandwidth_bps":1e6,"flows":1,"duration":"10s","measure_from":"0s","measure_until":"0s"}`,
-		"reverse flows only":            `{"bandwidth_bps":1e6,"reverse_flows":3,"duration":"10s"}`,
-		"negative flows":                `{"bandwidth_bps":1e6,"flows":-1,"web_sessions":2,"duration":"5s"}`,
-		"zero rtt":                      `{"bandwidth_bps":1e6,"flows":2,"rtts":["0ms"],"duration":"5s"}`,
-	}
-	for name, in := range cases {
-		if _, _, err := LoadScenario(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, flat := range []string{
+		`{"scheme":"PERT","bandwidth_bps":1e6,"flows":1,"duration":"10s"}`,
+		`{"bandwidth_bps":30e6,"flows":8,"web_sessions":5,"duration":"40s","rtts":["60ms"]}`,
+	} {
+		_, err := scenario.Load(strings.NewReader(flat))
+		if err == nil || !strings.Contains(err.Error(), "schema v2") {
+			t.Errorf("%s: err = %v, want a decoding error naming schema v2", flat, err)
 		}
 	}
 }
 
-func TestLoadScenarioFaultFields(t *testing.T) {
-	spec, _, err := LoadScenario(strings.NewReader(`{
-		"bandwidth_bps": 1e6, "flows": 1, "duration": "10s",
-		"loss_rate": 0.01, "dup_rate": 0.002, "reorder_rate": 0.005,
-		"reorder_extra": "3ms"
-	}`))
+// cellDoc is a one-group Section 4 document around the given fields.
+func cellDoc(t *testing.T, topo, rest string) scenario.Spec {
+	t.Helper()
+	spec, err := scenario.Load(strings.NewReader(`{"topology":{"template":"dumbbell","bandwidth_bps":1e6` + topo +
+		`},"groups":[{"label":"fwd","scheme":"PERT","count":1,"from":"left","to":"right"}],"duration":"20s"` + rest + `}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.LossRate != 0.01 || spec.DupRate != 0.002 || spec.ReorderRate != 0.005 {
-		t.Fatalf("fault rates = %+v", spec)
+	return spec
+}
+
+// TestLoadScenarioDefaults: a minimal document takes the defaults the flat
+// schema had — measure_from = duration/4, start_window = measure_from/2 —
+// and sizeDumbbell writes out the compiler's one 60 ms RTT.
+func TestLoadScenarioDefaults(t *testing.T) {
+	spec := cellDoc(t, "", "")
+	if spec.MeasureFrom != seconds(5) || spec.Groups[0].StartWindow != seconds(2.5) {
+		t.Fatalf("window defaults: measure_from %v, start_window %v", spec.MeasureFrom, spec.Groups[0].StartWindow)
 	}
-	if spec.ReorderExtra != ms(3) {
-		t.Fatalf("reorder_extra = %v", spec.ReorderExtra)
+	sizeDumbbell(&spec)
+	if !reflect.DeepEqual(spec.Topology.RTTs, []sim.Duration{ms(60)}) {
+		t.Fatalf("rtts = %v", spec.Topology.RTTs)
 	}
 }
 
-func TestLoadScenarioMeasureUntilAndSchedule(t *testing.T) {
-	spec, _, err := LoadScenario(strings.NewReader(`{
-		"bandwidth_bps": 1e6, "flows": 1, "duration": "20s",
-		"measure_from": "5s", "measure_until": "15s",
-		"schedule": [
-			{"at": "8s", "capacity_bps": 5e5, "delay": "10ms"},
-			{"at": "12s", "down": true},
-			{"at": "14s", "up": true}
-		]
-	}`))
-	if err != nil {
-		t.Fatal(err)
+// TestLoadScenarioFaultFields: a cell's forward-link faults load into its
+// Links[0], the rule the tables set.
+func TestLoadScenarioFaultFields(t *testing.T) {
+	spec := cellDoc(t, "", `,"links":[{"link":"forward","loss_rate":0.01,"dup_rate":0.002,"reorder_rate":0.005,"reorder_extra":"3ms"}]`)
+	want := scenario.LinkRule{Link: "forward", LossRate: 0.01, DupRate: 0.002, ReorderRate: 0.005, ReorderExtra: ms(3)}
+	if len(spec.Links) != 1 || !reflect.DeepEqual(spec.Links[0], want) {
+		t.Fatalf("links = %+v", spec.Links)
 	}
+}
+
+// TestLoadScenarioMeasureUntilAndSchedule: a window end and a forward
+// schedule (capacity and delay change, flap down and up) load as written,
+// and the delay change bars the cell from the bottleneck cut.
+func TestLoadScenarioMeasureUntilAndSchedule(t *testing.T) {
+	spec := cellDoc(t, "", `,"measure_from":"5s","measure_until":"15s","links":[{"link":"forward","schedule":[
+		{"at":"8s","capacity_bps":5e5,"delay":"10ms"},{"at":"12s","down":true},{"at":"14s","up":true}]}]`)
 	if spec.MeasureUntil != seconds(15) {
 		t.Fatalf("measure_until = %v", spec.MeasureUntil)
 	}
-	if len(spec.Schedule) != 3 {
-		t.Fatalf("schedule = %+v", spec.Schedule)
+	want := netem.LinkSchedule{{At: sim.Time(seconds(8)), Capacity: 5e5, Delay: ms(10)}, {At: sim.Time(seconds(12)), Down: true}, {At: sim.Time(seconds(14)), Up: true}}
+	if !reflect.DeepEqual(spec.Links[0].Schedule, want) {
+		t.Fatalf("schedule = %+v", spec.Links[0].Schedule)
 	}
-	if spec.Schedule[0].Capacity != 5e5 || spec.Schedule[0].Delay != ms(10) {
-		t.Fatalf("change 0 = %+v", spec.Schedule[0])
-	}
-	if !spec.Schedule[1].Down || !spec.Schedule[2].Up {
-		t.Fatalf("flaps = %+v", spec.Schedule[1:])
-	}
-}
-
-func TestLoadScenarioRuns(t *testing.T) {
-	spec, scheme, err := LoadScenario(strings.NewReader(
-		`{"scheme":"Vegas","bandwidth_bps":10e6,"flows":2,"duration":"8s","measure_from":"2s"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := RunDumbbell(spec, scheme)
-	if r.Utilization <= 0.3 {
-		t.Fatalf("config-driven run idle: %+v", r)
+	if bar := (Attachments{}).shardBar(spec); bar != "a delay-changing schedule" {
+		t.Fatalf("shardBar = %q", bar)
 	}
 }
 
@@ -157,7 +152,7 @@ func TestRunReplicated(t *testing.T) {
 	spec.Duration = seconds(15)
 	spec.MeasureFrom = seconds(5)
 	spec.MeasureUntil = seconds(15)
-	res := RunReplicated(spec, PERT, 4)
+	res := RunReplicated(PERT.on(spec), 4)
 	if res.Utilization.N != 4 {
 		t.Fatalf("n = %d", res.Utilization.N)
 	}
@@ -181,5 +176,5 @@ func TestRunReplicatedValidates(t *testing.T) {
 			t.Fatal("n=0 accepted")
 		}
 	}()
-	RunReplicated(quickSpec(1), PERT, 0)
+	RunReplicated(PERT.on(quickSpec(1)), 0)
 }

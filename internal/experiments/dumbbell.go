@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pert/internal/netem"
 	"pert/internal/scenario"
@@ -12,48 +15,35 @@ import (
 	"pert/internal/topo"
 )
 
-// DumbbellSpec describes one single-bottleneck scenario (the Section 4
-// workhorse): long-term flows in both directions plus optional web sessions,
-// measured over a steady-state window.
-type DumbbellSpec struct {
-	Seed int64
+// A Section 4 cell is a scenario.Spec on the dumbbell template whose groups
+// are, in this order, the forward long-term flows, the reverse long-term
+// flows and the forward web sessions, and whose Links[0] is the forward
+// bottleneck's rule (impairments, change schedule).
+const (
+	fwdGroup = iota
+	revGroup
+	webGroup
+)
 
-	Bandwidth float64        // bottleneck, bits/s
-	RTTs      []sim.Duration // end-to-end propagation RTTs (round-robin)
+// on returns a copy of a Section 4 cell running s: every group's controller
+// and the bottleneck queues are s's.
+func (s Scheme) on(spec scenario.Spec) scenario.Spec {
+	spec.Topology.AQM = string(s)
+	spec.Groups = slices.Clone(spec.Groups)
+	for i := range spec.Groups {
+		spec.Groups[i].Scheme = string(s)
+	}
+	return spec
+}
 
-	Flows        int // forward long-term flows
-	ReverseFlows int // reverse long-term flows
-	WebSessions  int // forward web sessions
-
-	BufferPkts int // 0 = paper rule (BDP, floor 2*flows)
-
-	Duration     sim.Duration // total simulated time
-	MeasureFrom  sim.Duration // start of the measurement window
-	MeasureUntil sim.Duration // end of the measurement window
-	StartWindow  sim.Duration // flow starts uniform in [0, StartWindow)
-
-	TargetDelay sim.Duration // PI schemes' delay reference (default 3 ms)
-
-	// AccessJitter adds per-packet delay noise on access links (see
-	// topo.DumbbellConfig.AccessJitter); the ext-jitter experiment uses it
-	// to probe predictor robustness.
-	AccessJitter sim.Duration
-
-	// Fault injection on the forward bottleneck link (internal/netem
-	// impairments). The impairment draws from its own RNG seeded by Seed,
-	// so zero rates leave the run bit-identical to an unimpaired one.
-	LossRate     float64      // non-congestive wire-loss probability
-	DupRate      float64      // duplication probability
-	ReorderRate  float64      // reordering probability
-	ReorderExtra sim.Duration // extra holding delay bound for reordered packets
-
-	// Schedule drives mid-run capacity/delay changes and link flaps on the
-	// forward bottleneck (down links blackhole traffic).
-	Schedule netem.LinkSchedule
-
-	// Instrument, when set, is invoked with the built topology before
-	// traffic starts — the hook for attaching tracers or custom samplers.
-	Instrument func(d *topo.Dumbbell)
+// Attachments are the Go-only parts of a dumbbell run, which a scenario
+// document cannot carry.
+type Attachments struct {
+	// CC, when set, builds every flow's controller (long flows and web
+	// transfers alike); the spec's groups then name no scheme and its
+	// topology names the bottleneck AQM. This is the entry point for PERT
+	// ablation studies (custom response curves, signal weights, rate limits).
+	CC func() tcp.CongestionControl
 
 	// Metrics, when set, enables the observability layer for this run:
 	// periodic sampling of the bottleneck queue, per-flow sender state and
@@ -62,18 +52,15 @@ type DumbbellSpec struct {
 	// state is read-only, so results are bit-identical either way).
 	Metrics *MetricsSpec
 
-	// Shards > 1 asks for the dumbbell to be cut at the bottleneck into two
-	// domains (its only useful cut, so any larger request clamps). The cut is
-	// made only where it is sound — see shardBar; a barred run is a group of
-	// one, and DumbbellResult.Domains reports which it was so tables can say
-	// so. 0 and 1 are the group of one.
-	Shards int
+	// Instrument, when set, is invoked with the built topology before
+	// traffic starts — the hook for attaching tracers or custom samplers.
+	Instrument func(d *topo.Dumbbell)
 }
 
 // DumbbellResult is one row of a Section 4 figure: the four panels the paper
 // plots for every sweep point.
 type DumbbellResult struct {
-	Scheme      Scheme
+	Scheme      Scheme  // the forward group's scheme; "" under a custom CC
 	AvgQueue    float64 // packets, time-averaged over the window
 	NormQueue   float64 // AvgQueue / buffer size
 	DropRate    float64 // fraction of offered packets dropped at bottleneck
@@ -91,158 +78,97 @@ type DumbbellResult struct {
 	RetransOverhead float64
 
 	// Domains is the number of shard domains the run was actually cut into
-	// (observed from the network, not copied from DumbbellSpec.Shards).
+	// (observed from the network, not copied from the spec's Shards).
 	Domains int
 }
 
-// shardBar names what keeps this spec on one domain whatever Shards asks, or
-// "" when the bottleneck cut is sound: Metrics and Instrument attach observers
-// that read across the cut, a custom controller cannot be verified shard-safe,
-// and a delay-changing schedule would move the boundary's lookahead, which is
-// fixed at partition time.
-func (spec DumbbellSpec) shardBar(scheme string) string {
+// CheckCell reports whether spec has the shape of a Section 4 cell: the
+// dumbbell template, the three groups in order, and traffic on the measured
+// forward direction (a reverse-only run would report the ACK load as the
+// forward panel). RunDumbbell panics on a spec that fails it; a caller that
+// builds a cell from user input checks it, beside spec.Validate, first.
+func CheckCell(spec scenario.Spec) error {
 	switch {
-	case spec.Metrics != nil:
+	case spec.Topology.Template != scenario.DumbbellTemplate || len(spec.Groups) != 3:
+		return errors.New("experiments: a Section 4 cell is a dumbbell with three groups: forward, reverse, web")
+	case spec.Groups[fwdGroup].Count <= 0 && spec.Groups[webGroup].Count <= 0:
+		return errors.New("experiments: scenario has no traffic on the measured forward direction")
+	}
+	return nil
+}
+
+// shardBar names what keeps a dumbbell run on one domain whatever
+// spec.Shards asks, or "" when the bottleneck cut is sound: metrics and an
+// Instrument hook attach observers that read across the cut, a custom
+// controller cannot be verified shard-safe, and a delay-changing schedule
+// would move the boundary's lookahead, which is fixed at partition time.
+func (at Attachments) shardBar(spec scenario.Spec) string {
+	switch {
+	case at.Metrics != nil:
 		return "metrics streaming"
-	case spec.Instrument != nil:
+	case at.Instrument != nil:
 		return "an Instrument hook"
-	case !scenario.Known(scheme):
+	case at.CC != nil:
 		return "a custom controller"
-	case spec.Schedule.HasDelayChange():
+	case slices.ContainsFunc(spec.Links, func(r scenario.LinkRule) bool { return r.Schedule.HasDelayChange() }):
 		return "a delay-changing schedule"
 	}
 	return ""
 }
 
-// customCC is the scheme label of a RunDumbbellWith run: not a registered
-// name, which is what bars it from the bottleneck cut.
-const customCC = "custom-cc"
-
-// RunDumbbell executes the scenario under one scheme and returns the
-// measured row.
-func RunDumbbell(spec DumbbellSpec, scheme Scheme) DumbbellResult {
-	res := runDumbbell(spec, string(scheme), nil)
-	res.Scheme = scheme
-	return res
-}
-
-// RunDumbbellWith executes the scenario with an explicit congestion-control
-// factory over DropTail bottlenecks — the entry point for PERT ablation
-// studies (custom response curves, signal weights, rate limits).
-func RunDumbbellWith(spec DumbbellSpec, cc func() tcp.CongestionControl) DumbbellResult {
-	return runDumbbell(spec, customCC, cc)
-}
-
-// Validate reports whether the spec can run under scheme. DumbbellSpec has no
-// rules of its own beyond what its runner indexes and measures (a first RTT,
-// an explicit window end, traffic on the measured forward direction): the
-// rest is scenario.Spec.Validate on the translated spec, so the flag path,
-// the flat v1 file schema and schema v2 share one rule set.
-func (spec DumbbellSpec) Validate(scheme Scheme) error {
-	switch {
-	case len(spec.RTTs) == 0:
-		return fmt.Errorf("experiments: scenario needs at least one rtt")
-	case spec.MeasureUntil == 0:
-		return fmt.Errorf("experiments: measure_until must be set (0 is not an alias for the duration here)")
-	case spec.Flows <= 0 && spec.WebSessions <= 0:
-		return fmt.Errorf("experiments: scenario has no traffic on the measured forward direction")
+// sizeDumbbell writes the Section 4 host and buffer rule into the cell where
+// it leaves them open: one host pair per flow or session, clamped to
+// [1, 256] (hosts are shared round-robin, so a 1000-session point does not
+// build 2000 nodes), and a buffer of one BDP at the mean RTT with a floor of
+// twice the forward flow count. The compiler's own derivations differ, and
+// the committed tables depend on this rule; written out, the spec builds the
+// same network under RunScenario.
+func sizeDumbbell(spec *scenario.Spec) {
+	t := &spec.Topology
+	if len(t.RTTs) == 0 {
+		t.RTTs = []sim.Duration{ms(60)} // the compiler's default, made explicit
 	}
-	return spec.scenarioSpec(string(scheme), false).Validate()
-}
-
-// scenarioSpec translates the legacy flat DumbbellSpec into a declarative
-// scenario.Spec. Buffer size and host count are resolved here (not left to
-// the compiler's derivation rules) because the historical formulas differ:
-// the buffer floor is twice the *forward* flow count and hosts count web
-// sessions, both of which the committed tables depend on.
-//
-// Naming the scheme lets the compiler resolve queue, controllers and ECN from
-// the registry; the environment it derives from the spec (capacity, fwd+rev
-// flow count, largest RTT, target delay) is the historical one. A custom
-// controller runs over DropTail and its groups carry no scheme.
-func (spec DumbbellSpec) scenarioSpec(scheme string, custom bool) scenario.Spec {
-	if spec.BufferPkts == 0 {
-		// The paper's rule: buffer = BDP with a floor of twice the number
-		// of flows.
+	if t.Hosts == 0 {
+		for _, g := range spec.Groups {
+			t.Hosts += g.Count
+		}
+		t.Hosts = min(max(t.Hosts, 1), 256)
+	}
+	if t.BufferPkts == 0 {
 		var sum sim.Duration
-		for _, r := range spec.RTTs {
+		for _, r := range t.RTTs {
 			sum += r
 		}
-		mean := sum / sim.Duration(len(spec.RTTs))
-		spec.BufferPkts = topo.BDPPackets(spec.Bandwidth, mean, 1040)
-		if min := 2 * spec.Flows; spec.BufferPkts < min {
-			spec.BufferPkts = min
-		}
+		t.BufferPkts = max(topo.BDPPackets(t.Bandwidth, sum/sim.Duration(len(t.RTTs)), 1040), 2*spec.Groups[fwdGroup].Count)
 	}
-	hosts := spec.Flows + spec.ReverseFlows + spec.WebSessions
-	if hosts < 1 {
-		hosts = 1
-	}
-	// Hosts are shared round-robin; cap the node count so huge sweeps
-	// (1000 web sessions) do not build 2000+ nodes needlessly.
-	if hosts > 256 {
-		hosts = 256
-	}
-	aqm, groupScheme := scheme, scheme
-	if custom {
-		aqm, groupScheme = string(SackDroptail), ""
-	}
-	sspec := scenario.Spec{
-		Seed: spec.Seed,
-		Topology: scenario.TopologySpec{
-			Template:     scenario.DumbbellTemplate,
-			Bandwidth:    spec.Bandwidth,
-			Delay:        spec.RTTs[0] / 3,
-			Hosts:        hosts,
-			RTTs:         spec.RTTs,
-			BufferPkts:   spec.BufferPkts,
-			AccessJitter: spec.AccessJitter,
-			AQM:          aqm,
-		},
-		Links: []scenario.LinkRule{{
-			Link:         "forward",
-			LossRate:     spec.LossRate,
-			DupRate:      spec.DupRate,
-			ReorderRate:  spec.ReorderRate,
-			ReorderExtra: spec.ReorderExtra,
-			Schedule:     spec.Schedule,
-		}},
-		Groups: []scenario.FlowGroupSpec{
-			{Label: "fwd", Scheme: groupScheme, Count: spec.Flows, From: "left", To: "right", StartWindow: spec.StartWindow},
-			{Label: "rev", Scheme: groupScheme, Count: spec.ReverseFlows, From: "right", To: "left", StartWindow: spec.StartWindow},
-			{Label: "web", Scheme: groupScheme, Count: spec.WebSessions, From: "left", To: "right", Traffic: scenario.Web, StartWindow: spec.StartWindow},
-		},
-		Duration:     spec.Duration,
-		MeasureFrom:  spec.MeasureFrom,
-		MeasureUntil: spec.MeasureUntil,
-		TargetDelay:  spec.TargetDelay,
-	}
-	if spec.shardBar(scheme) == "" {
-		sspec.Shards = spec.Shards
-	}
-	return sspec
 }
 
-// runDumbbell is the shared scenario body, expressed on the scenario compiler
-// and run by the one executor. Construction order is a bit-identity contract
-// with the committed tables: compile (topology, impairments, schedule) and
-// partition, then observers in the historical order (metrics registry,
-// auditor, Instrument hook, delay monitor), then traffic.
-//
-// cc nil runs the registered scheme; otherwise the long flows and the web
-// transfers run cc over DropTail bottlenecks and scheme only labels the run.
-func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionControl) DumbbellResult {
-	x := mustStart(spec.scenarioSpec(scheme, cc != nil))
+// RunDumbbell runs one Section 4 cell and returns the row the paper plots
+// for it. Construction order is a bit-identity contract with the committed
+// tables: compile (topology, impairments, schedule) and partition, then
+// observers in the historical order (metrics registry, auditor, Instrument
+// hook, delay monitor), then traffic. A run that at bars from the bottleneck
+// cut (shardBar) is a group of one whatever spec.Shards asks. It panics on
+// a spec that fails CheckCell or that the compiler rejects.
+func RunDumbbell(spec scenario.Spec, at Attachments) DumbbellResult {
+	if err := CheckCell(spec); err != nil {
+		panic(err.Error())
+	}
+	sizeDumbbell(&spec)
+	if at.shardBar(spec) != "" {
+		spec.Shards = 0
+	}
+	x := mustStart(spec)
 	d := x.Dumbbell()
+	g := spec.Groups
+	scenarioLine := fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d links=%+v",
+		cmp.Or(g[fwdGroup].Scheme, "custom"), spec.Topology.Bandwidth,
+		g[fwdGroup].Count, g[revGroup].Count, g[webGroup].Count, spec.Links)
 
-	scenarioLine := fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d loss=%g dup=%g reorder=%g changes=%d",
-		scheme, spec.Bandwidth, spec.Flows, spec.ReverseFlows, spec.WebSessions,
-		spec.LossRate, spec.DupRate, spec.ReorderRate, len(spec.Schedule))
-
-	// The observability registry (nil when spec.Metrics is nil) is built
+	// The observability registry (nil when at.Metrics is nil) is built
 	// before the auditor so a violation's repro bundle can include the
 	// flight-recorder dump.
-	reg := spec.Metrics.newRegistry(x.Eng, scenarioLine)
+	reg := at.Metrics.newRegistry(x.Eng, scenarioLine)
 
 	// The bottleneck's trailing trace is kept for the repro bundle; the
 	// reverse bottleneck is bounded but not traced.
@@ -252,8 +178,8 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 	}
 	x.audit(cfg, d.Reverse)
 
-	if spec.Instrument != nil {
-		spec.Instrument(d)
+	if at.Instrument != nil {
+		at.Instrument(d)
 	}
 	// The monitor gets its own RNG: instrumentation must never perturb the
 	// simulation's random stream (results stay identical with or without).
@@ -262,22 +188,22 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 	// One shared connection config for both long-flow directions: the RTT
 	// observer must chain onto a single histogram, as the hand-wired
 	// scenario did.
-	conn := x.Groups[0].Conn
+	conn := x.Groups[fwdGroup].Conn
 	observeRTT(reg, &conn)
-	x.Groups[0].Conn, x.Groups[1].Conn = conn, conn
-	if cc != nil {
-		for _, g := range x.Groups {
-			g.CC = cc
+	x.Groups[fwdGroup].Conn, x.Groups[revGroup].Conn = conn, conn
+	if at.CC != nil {
+		for _, grp := range x.Groups {
+			grp.CC = at.CC
 		}
 	}
 	x.Spawn()
-	fwd := x.Groups[0].Flows
-	spec.Metrics.instrumentDumbbell(reg, d, fwd)
+	fwd := x.Groups[fwdGroup].Flows
+	at.Metrics.instrumentDumbbell(reg, d, fwd)
 
 	// Warm up, then measure.
 	x.g.Run(spec.MeasureFrom)
 	w := x.open()
-	x.g.Run(spec.MeasureUntil)
+	x.g.Run(cmp.Or(spec.MeasureUntil, spec.Duration))
 	var sent, retrans uint64
 	for _, f := range fwd {
 		sent += f.Conn.Stats.SegsSent
@@ -290,6 +216,7 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 	p50, p95, p99 := delayMon.P50P95P99()
 	p := w.close()[0]
 	res := DumbbellResult{
+		Scheme:          Scheme(g[fwdGroup].Scheme),
 		RetransOverhead: overhead,
 		DelayP50:        p50,
 		DelayP95:        p95,
@@ -299,7 +226,7 @@ func runDumbbell(spec DumbbellSpec, scheme string, cc func() tcp.CongestionContr
 		DropRate:        p.dropRate,
 		MarkRate:        p.markRate,
 		Utilization:     p.utilization,
-		Jain:            stats.Jain(w.goodputs(0)),
+		Jain:            stats.Jain(w.goodputs(fwdGroup)),
 		BufferPkts:      d.BufferPkts,
 		Domains:         x.Net.Domains(),
 	}

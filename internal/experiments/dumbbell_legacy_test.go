@@ -13,13 +13,75 @@ import (
 	"pert/internal/trafficgen"
 )
 
+// legacySpec is the flat single-bottleneck description the frozen oracle
+// reads — the retired Section 4 spec type, kept here so that the oracle's
+// body stays exactly as it was.
+type legacySpec struct {
+	Seed int64
+
+	Bandwidth float64
+	RTTs      []sim.Duration
+
+	Flows        int
+	ReverseFlows int
+	WebSessions  int
+
+	BufferPkts int // 0 = paper rule (BDP, floor 2*flows)
+
+	Duration     sim.Duration
+	MeasureFrom  sim.Duration
+	MeasureUntil sim.Duration
+	StartWindow  sim.Duration
+
+	TargetDelay  sim.Duration
+	AccessJitter sim.Duration
+
+	LossRate     float64
+	DupRate      float64
+	ReorderRate  float64
+	ReorderExtra sim.Duration
+	Schedule     netem.LinkSchedule
+
+	Instrument func(d *topo.Dumbbell)
+	Metrics    *MetricsSpec
+}
+
+// legacyOf flattens a Section 4 cell and its attachments into the oracle's
+// input: one start window (the forward group's) and the forward rule.
+func legacyOf(spec scenario.Spec, at Attachments) legacySpec {
+	t, g := spec.Topology, spec.Groups
+	l := legacySpec{
+		Seed:         spec.Seed,
+		Bandwidth:    t.Bandwidth,
+		RTTs:         t.RTTs,
+		Flows:        g[fwdGroup].Count,
+		ReverseFlows: g[revGroup].Count,
+		WebSessions:  g[webGroup].Count,
+		BufferPkts:   t.BufferPkts,
+		Duration:     spec.Duration,
+		MeasureFrom:  spec.MeasureFrom,
+		MeasureUntil: spec.MeasureUntil,
+		StartWindow:  g[fwdGroup].StartWindow,
+		TargetDelay:  spec.TargetDelay,
+		AccessJitter: t.AccessJitter,
+		Instrument:   at.Instrument,
+		Metrics:      at.Metrics,
+	}
+	if len(spec.Links) > 0 {
+		r := spec.Links[0]
+		l.LossRate, l.DupRate, l.ReorderRate = r.LossRate, r.DupRate, r.ReorderRate
+		l.ReorderExtra, l.Schedule = r.ReorderExtra, r.Schedule
+	}
+	return l
+}
+
 // legacyRunDumbbell is a frozen copy of the hand-wired dumbbell scenario body
 // from before the scenario-compiler refactor. It exists only as the oracle
 // for the metamorphic bit-identity test: the compiler path must consume
 // engine sequence numbers and RNG draws at exactly the same program points,
 // so every result field and packet trace must match this byte for byte.
 // Do not "fix" or modernize it — its value is that it does not change.
-func legacyRunDumbbell(eng *sim.Engine, net *netem.Network, spec DumbbellSpec, scheme string,
+func legacyRunDumbbell(eng *sim.Engine, net *netem.Network, spec legacySpec, scheme string,
 	qf topo.QueueFactory, ccf func() tcp.CongestionControl, ecn bool,
 	webccf func() tcp.CongestionControl) DumbbellResult {
 
@@ -134,14 +196,16 @@ func legacyRunDumbbell(eng *sim.Engine, net *netem.Network, spec DumbbellSpec, s
 }
 
 // legacyScenarioString is the frozen audit-bundle scenario line.
-func legacyScenarioString(spec DumbbellSpec, scheme string) string {
+func legacyScenarioString(spec legacySpec, scheme string) string {
 	return fmt.Sprintf("dumbbell scheme=%s bw=%g flows=%d rev=%d web=%d loss=%g dup=%g reorder=%g changes=%d",
 		scheme, spec.Bandwidth, spec.Flows, spec.ReverseFlows, spec.WebSessions,
 		spec.LossRate, spec.DupRate, spec.ReorderRate, len(spec.Schedule))
 }
 
-// legacyRunDumbbellScheme mirrors the old RunDumbbell entry point.
-func legacyRunDumbbellScheme(spec DumbbellSpec, scheme Scheme) DumbbellResult {
+// legacyRunDumbbellScheme mirrors the old RunDumbbell entry point on the
+// cell's flattened form: the cell's forward group names the scheme.
+func legacyRunDumbbellScheme(cell scenario.Spec, at Attachments) DumbbellResult {
+	spec, scheme := legacyOf(cell, at), Scheme(cell.Groups[fwdGroup].Scheme)
 	eng := sim.NewEngine(spec.Seed)
 	net := netem.NewNetwork(eng)
 

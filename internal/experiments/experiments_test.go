@@ -169,7 +169,7 @@ func TestSchemeFactoriesCoverAll(t *testing.T) {
 		spec.Duration = seconds(5)
 		spec.MeasureFrom = seconds(1)
 		spec.MeasureUntil = seconds(5)
-		r := RunDumbbell(spec, s) // must not panic and must move traffic
+		r := runScheme(spec, s) // must not panic and must move traffic
 		if r.Utilization <= 0 {
 			t.Errorf("%s: no traffic", s)
 		}
@@ -182,7 +182,7 @@ func TestSchemeUnknownPanics(t *testing.T) {
 			t.Fatal("unknown scheme did not panic")
 		}
 	}()
-	RunDumbbell(quickSpec(51), Scheme("nonsense"))
+	runScheme(quickSpec(51), Scheme("nonsense"))
 }
 
 func TestAblationRunner(t *testing.T) {
@@ -197,8 +197,8 @@ func TestAblationRunner(t *testing.T) {
 }
 
 func TestRunDumbbellDeterministic(t *testing.T) {
-	a := RunDumbbell(quickSpec(60), PERT)
-	b := RunDumbbell(quickSpec(60), PERT)
+	a := runScheme(quickSpec(60), PERT)
+	b := runScheme(quickSpec(60), PERT)
 	if a != b {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}

@@ -48,8 +48,9 @@ func ExtAQM(ctx context.Context, scale Scale) (*Table, error) {
 	}
 	cells := make([]cell, len(rows))
 	for i, row := range rows {
-		cells[i] = cell{name: string(row.s), spec: scale.dumbbell(9000+int64(i), bwMbps, flows)}
-		cells[i].spec.WebSessions = webs
+		spec := scale.dumbbell(9000+int64(i), bwMbps, flows)
+		spec.Groups[webGroup].Count = webs
+		cells[i] = cell{name: string(row.s), spec: row.s.on(spec)}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
 		return []string{cells[i].name, rows[i].kind, f2(r.AvgQueue), f2(r.DelayP99 * 1000),
@@ -87,12 +88,12 @@ func ExtJitter(ctx context.Context, scale Scale) (*Table, error) {
 	var cells []cell
 	for i, jMs := range []float64{0, 2, 5, 10} {
 		spec := scale.dumbbell(9200+int64(i), bwMbps, flows)
-		spec.AccessJitter = ms(jMs)
+		spec.Topology.AccessJitter = ms(jMs)
 		label := fmt.Sprintf("%g", jMs)
 		cells = append(cells,
-			cell{label: label, name: string(PERT), spec: spec},
-			cell{label: label, name: string(SackDroptail), spec: spec},
-			cell{label: label, name: "PERT[20/40ms]", cc: wide.CC(), spec: spec})
+			cell{label: label, name: string(PERT), spec: PERT.on(spec)},
+			cell{label: label, name: string(SackDroptail), spec: SackDroptail.on(spec)},
+			cell{label: label, name: "PERT[20/40ms]", at: Attachments{CC: wide.CC()}, spec: spec})
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
 		return []string{cells[i].label, cells[i].name, f2(r.AvgQueue),
@@ -133,7 +134,7 @@ func ExtDelayCC(ctx context.Context, scale Scale) (*Table, error) {
 	}
 	cells := make([]cell, len(rows))
 	for i, row := range rows {
-		cells[i] = cell{name: row.name, cc: row.cc, spec: scale.dumbbell(9300+int64(i), bwMbps, flows)}
+		cells[i] = cell{name: row.name, at: Attachments{CC: row.cc}, spec: scale.dumbbell(9300+int64(i), bwMbps, flows)}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
 		return []string{rows[i].name, rows[i].year, f2(r.AvgQueue), f2(r.DelayP99 * 1000),
@@ -160,14 +161,14 @@ func ExtHighSpeed(ctx context.Context, scale Scale) (*Table, error) {
 		Notes:  []string{"footnote 1: the early-response argument holds for any loss-based probing"},
 	}
 	cells := []cell{
-		{name: "HSTCP", cc: func() tcp.CongestionControl { return tcp.NewHSTCP() }},
-		{name: "PERT over HSTCP", cc: func() tcp.CongestionControl { return &tcp.PERT{Base: tcp.NewHSTCP()} }},
-		{name: "Reno", cc: func() tcp.CongestionControl { return tcp.Reno{} }},
-		{name: "PERT over Reno", cc: func() tcp.CongestionControl { return tcp.NewPERTRed() }},
+		{name: "HSTCP", at: Attachments{CC: func() tcp.CongestionControl { return tcp.NewHSTCP() }}},
+		{name: "PERT over HSTCP", at: Attachments{CC: func() tcp.CongestionControl { return &tcp.PERT{Base: tcp.NewHSTCP()} }}},
+		{name: "Reno", at: Attachments{CC: func() tcp.CongestionControl { return tcp.Reno{} }}},
+		{name: "PERT over Reno", at: Attachments{CC: func() tcp.CongestionControl { return tcp.NewPERTRed() }}},
 	}
 	for i := range cells {
 		cells[i].spec = scale.dumbbell(9400+int64(i), mbps, 4)
-		cells[i].spec.RTTs = []sim.Duration{ms(100)}
+		cells[i].spec.Topology.RTTs = []sim.Duration{ms(100)}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
 		return []string{cells[i].name, f2(r.AvgQueue), f2(r.DelayP99 * 1000), sci(r.DropRate),

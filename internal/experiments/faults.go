@@ -39,9 +39,9 @@ func ExtLossy(ctx context.Context, scale Scale) (*Table, error) {
 	var cells []cell
 	for i, loss := range []float64{0, 0.005, 0.01, 0.02, 0.05} {
 		for _, s := range []Scheme{PERT, SackDroptail, SackRED} {
-			c := cell{label: fmt.Sprintf("%g", loss*100), name: string(s), spec: scale.dumbbell(9500+int64(i), bwMbps, flows)}
-			c.spec.LossRate = loss
-			cells = append(cells, c)
+			spec := scale.dumbbell(9500+int64(i), bwMbps, flows)
+			spec.Links[0].LossRate = loss
+			cells = append(cells, cell{label: fmt.Sprintf("%g", loss*100), name: string(s), spec: s.on(spec)})
 		}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {

@@ -25,7 +25,7 @@ const DefaultMetricsInterval = 100 * sim.Millisecond
 const metricsFlows = 8
 
 // MetricsSpec enables time-series collection for one dumbbell run. A nil
-// *MetricsSpec (the zero DumbbellSpec) disables the whole layer: no
+// *MetricsSpec (the zero Attachments) disables the whole layer: no
 // registry is built and every instrument call in the model compiles to a
 // nil-check no-op.
 type MetricsSpec struct {

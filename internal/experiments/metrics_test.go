@@ -12,6 +12,7 @@ import (
 
 	"pert/internal/netem"
 	"pert/internal/obs"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/topo"
 )
@@ -19,15 +20,11 @@ import (
 // metricsTestSpec is a small PERT dumbbell that saturates its bottleneck in a
 // couple of simulated seconds — big enough for every instrument to move,
 // small enough to run many times per test.
-func metricsTestSpec() DumbbellSpec {
-	return DumbbellSpec{
-		Seed:      7,
-		Bandwidth: 5e6,
-		RTTs:      []sim.Duration{40 * sim.Millisecond},
-		Flows:     4,
-		Duration:  4 * sim.Second, MeasureFrom: sim.Second, MeasureUntil: 4 * sim.Second,
-		StartWindow: 500 * sim.Millisecond,
-	}
+func metricsTestSpec() scenario.Spec {
+	s := cellSpec(7, 5e6, 4, 0, 0, 500*sim.Millisecond)
+	s.Topology.RTTs = []sim.Duration{40 * sim.Millisecond}
+	s.Duration, s.MeasureFrom, s.MeasureUntil = 4*sim.Second, sim.Second, 4*sim.Second
+	return s
 }
 
 // TestMetricsMetamorphic pins rule 2 of the observability layer: enabling
@@ -36,16 +33,15 @@ func metricsTestSpec() DumbbellSpec {
 // result rows and the full packet traces must be bit-identical.
 func TestMetricsMetamorphic(t *testing.T) {
 	run := func(withMetrics bool) (DumbbellResult, string, string) {
-		spec := metricsTestSpec()
 		var trace bytes.Buffer
-		spec.Instrument = func(d *topo.Dumbbell) {
+		at := Attachments{Instrument: func(d *topo.Dumbbell) {
 			netem.NewTracer(&trace).Attach(d.Forward)
-		}
+		}}
 		var series bytes.Buffer
 		if withMetrics {
-			spec.Metrics = &MetricsSpec{Sink: obs.NewJSONLWriter(&series)}
+			at.Metrics = &MetricsSpec{Sink: obs.NewJSONLWriter(&series)}
 		}
-		res := RunDumbbell(spec, PERT)
+		res := RunDumbbell(PERT.on(metricsTestSpec()), at)
 		return res, trace.String(), series.String()
 	}
 
@@ -76,8 +72,7 @@ func TestMetricsMetamorphic(t *testing.T) {
 func TestMetricsSeriesRoundTrip(t *testing.T) {
 	spec := metricsTestSpec()
 	var buf bytes.Buffer
-	spec.Metrics = &MetricsSpec{Sink: obs.NewJSONLWriter(&buf)}
-	RunDumbbell(spec, PERT)
+	RunDumbbell(PERT.on(spec), Attachments{Metrics: &MetricsSpec{Sink: obs.NewJSONLWriter(&buf)}})
 
 	pts, err := obs.ReadJSONL(&buf)
 	if err != nil {
@@ -125,12 +120,11 @@ func keys(m map[string]int) []string {
 // metrics-enabled run, the panic's repro bundle must carry the flight
 // recorder's trailing series window.
 func TestAuditAbortIncludesFlightDump(t *testing.T) {
-	spec := metricsTestSpec()
-	spec.Metrics = &MetricsSpec{} // no sink: flight recorder only
+	at := Attachments{Metrics: &MetricsSpec{}} // no sink: flight recorder only
 	// Corrupt the bottleneck's bookkeeping mid-run the way a lost-packet bug
 	// would: an arrival that never reaches any other column. Pure accounting
 	// corruption — packet flow is unaffected, only the audit sees it.
-	spec.Instrument = func(d *topo.Dumbbell) {
+	at.Instrument = func(d *topo.Dumbbell) {
 		d.Net.Engine().Do(1500*sim.Millisecond, func() {
 			d.Forward.Stats.Arrivals++
 		})
@@ -154,7 +148,7 @@ func TestAuditAbortIncludesFlightDump(t *testing.T) {
 			}
 		}
 	}()
-	RunDumbbell(spec, PERT)
+	RunDumbbell(PERT.on(metricsTestSpec()), at)
 }
 
 // TestSweepMetricsParallelRegistries runs a metrics-enabled sweep on four

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"pert/internal/scenario"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -108,7 +110,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func quickSpecShort(seed int64) DumbbellSpec {
+func quickSpecShort(seed int64) scenario.Spec {
 	s := quickSpec(seed)
 	s.Duration = seconds(10)
 	s.MeasureFrom = seconds(3)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"pert/internal/scenario"
 	"pert/internal/stats"
 )
 
@@ -30,7 +31,6 @@ func replicated(s *stats.Series) Replicated {
 // ReplicatedResult carries the across-seed distribution of every headline
 // metric of a dumbbell scenario.
 type ReplicatedResult struct {
-	Scheme      Scheme
 	AvgQueue    Replicated
 	DropRate    Replicated
 	Utilization Replicated
@@ -52,8 +52,8 @@ func ExtReplicated(ctx context.Context, scale Scale) (*Table, error) {
 	spec.Shards = ShardsFrom(ctx, 0)
 	if scale == Paper {
 		replicas = 10
-		spec.Bandwidth = 150e6
-		spec.Flows = 50
+		spec.Topology.Bandwidth = 150e6
+		spec.Groups[fwdGroup].Count = 50
 		spec.Duration = seconds(400)
 		spec.MeasureFrom = seconds(100)
 		spec.MeasureUntil = seconds(300)
@@ -68,7 +68,7 @@ func ExtReplicated(ctx context.Context, scale Scale) (*Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := RunReplicated(spec, s, replicas)
+		r := RunReplicated(s.on(spec), replicas)
 		t.AddRow(string(s), f2(r.AvgQueue.Mean), "±"+f2(r.AvgQueue.CI95),
 			f3(r.Utilization.Mean), "±"+f3(r.Utilization.CI95),
 			f3(r.Jain.Mean), "±"+f3(r.Jain.CI95))
@@ -76,11 +76,11 @@ func ExtReplicated(ctx context.Context, scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// RunReplicated executes the scenario n times with consecutive seeds and
-// aggregates the metrics — the standard way to attach error bars to any
+// RunReplicated executes the Section 4 cell n times with consecutive seeds
+// and aggregates the metrics — the standard way to attach error bars to any
 // experiment in this package (simulations are deterministic per seed, so the
 // only variance is the seeded randomness itself).
-func RunReplicated(spec DumbbellSpec, scheme Scheme, n int) ReplicatedResult {
+func RunReplicated(spec scenario.Spec, n int) ReplicatedResult {
 	if n < 1 {
 		panic("experiments: replication count must be positive")
 	}
@@ -88,14 +88,13 @@ func RunReplicated(spec DumbbellSpec, scheme Scheme, n int) ReplicatedResult {
 	for i := 0; i < n; i++ {
 		s := spec
 		s.Seed = spec.Seed + int64(i)
-		r := RunDumbbell(s, scheme)
+		r := RunDumbbell(s, Attachments{})
 		q.Add(r.AvgQueue)
 		d.Add(r.DropRate)
 		u.Add(r.Utilization)
 		j.Add(r.Jain)
 	}
 	return ReplicatedResult{
-		Scheme:      scheme,
 		AvgQueue:    replicated(&q),
 		DropRate:    replicated(&d),
 		Utilization: replicated(&u),

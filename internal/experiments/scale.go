@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pert/internal/scenario"
 	"pert/internal/sim"
 )
 
@@ -52,14 +53,24 @@ func (s Scale) window() (dur, from, until, startWin sim.Duration) {
 
 // dumbbell is the standard Section 4 cell at this scale: flows long-term
 // flows at 60 ms over an mbps bottleneck, run and measured over window().
-// Tables vary it by setting further fields on the result.
-func (s Scale) dumbbell(seed int64, mbps float64, flows int) DumbbellSpec {
+// Its groups name no scheme and its queues are DropTail, ready for a custom
+// controller, until Scheme.on names one. Tables vary it by editing the result.
+func (s Scale) dumbbell(seed int64, mbps float64, flows int) scenario.Spec {
 	dur, from, until, sw := s.window()
-	return DumbbellSpec{
-		Seed:      seed,
-		Bandwidth: mbps * 1e6,
-		RTTs:      []sim.Duration{ms(60)},
-		Flows:     flows,
-		Duration:  dur, MeasureFrom: from, MeasureUntil: until, StartWindow: sw,
+	return scenario.Spec{
+		Seed: seed,
+		Topology: scenario.TopologySpec{
+			Template:  scenario.DumbbellTemplate,
+			Bandwidth: mbps * 1e6,
+			RTTs:      []sim.Duration{ms(60)},
+			AQM:       string(SackDroptail),
+		},
+		Links: []scenario.LinkRule{{Link: "forward"}},
+		Groups: []scenario.FlowGroupSpec{
+			{Label: "fwd", Count: flows, From: "left", To: "right", StartWindow: sw},
+			{Label: "rev", From: "right", To: "left", StartWindow: sw},
+			{Label: "web", From: "left", To: "right", Traffic: scenario.Web, StartWindow: sw},
+		},
+		Duration: dur, MeasureFrom: from, MeasureUntil: until,
 	}
 }

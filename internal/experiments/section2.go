@@ -93,7 +93,7 @@ func section2Run(c Section2Case, seed int64, bandwidth float64, buffer int, dur,
 			Delay:     ms(20),
 			Hosts:     32,
 			// Flows have different RTTs (varying access delays).
-			RTTs:       []sim.Duration{ms(60), ms(40), ms(80), ms(100), ms(52), ms(68), ms(90), ms(30)},
+			RTTs:       []sim.Duration{ms(60), ms(40), ms(80), ms(100), ms(52), ms(68), ms(90), ms(40)},
 			BufferPkts: buffer,
 			AQM:        sack,
 		},

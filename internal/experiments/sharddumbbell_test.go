@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pert/internal/netem"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 	"pert/internal/tcp"
 	"pert/internal/topo"
@@ -19,29 +20,23 @@ import (
 // twice; fixed-N determinism means identical results. The shard-smoke -race
 // run of this test is the concurrency assertion for the new arming paths.
 func TestShardDumbbellRouterAQMWebSchedule(t *testing.T) {
-	spec := DumbbellSpec{
-		Seed:      77,
-		Bandwidth: 10e6,
-		RTTs:      []sim.Duration{ms(60)},
-		Flows:     6, WebSessions: 8,
-		Duration: seconds(20), MeasureFrom: seconds(5), MeasureUntil: seconds(18),
-		StartWindow: seconds(2),
-		Schedule: netem.LinkSchedule{
-			{At: 8 * sim.Second, Capacity: 5e6},
-			{At: 12 * sim.Second, Down: true},
-			{At: 12*sim.Second + 300*sim.Millisecond, Up: true},
-			{At: 14 * sim.Second, Capacity: 10e6},
-		},
-		Shards: 2,
+	spec := cellSpec(77, 10e6, 6, 0, 8, seconds(2))
+	spec.Duration, spec.MeasureFrom, spec.MeasureUntil = seconds(20), seconds(5), seconds(18)
+	spec.Links[0].Schedule = netem.LinkSchedule{
+		{At: 8 * sim.Second, Capacity: 5e6},
+		{At: 12 * sim.Second, Down: true},
+		{At: 12*sim.Second + 300*sim.Millisecond, Up: true},
+		{At: 14 * sim.Second, Capacity: 10e6},
 	}
+	spec.Shards = 2
 	for _, s := range []Scheme{SackRED, SackPI, SackREM, SackAVQ, PERTPI} {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
-			first := RunDumbbell(spec, s)
+			first := runScheme(spec, s)
 			if first.Utilization <= 0 {
 				t.Fatalf("%s moved no traffic", s)
 			}
-			if again := RunDumbbell(spec, s); !reflect.DeepEqual(first, again) {
+			if again := runScheme(spec, s); !reflect.DeepEqual(first, again) {
 				t.Fatalf("%s not deterministic at shards=2:\nfirst: %+v\nagain: %+v", s, first, again)
 			}
 		})
@@ -50,45 +45,47 @@ func TestShardDumbbellRouterAQMWebSchedule(t *testing.T) {
 
 // TestShardDumbbellSerialFallback pins the bottleneck-cut gate and what it
 // does to a run: shards<=1 is the group of one; metrics streaming, an
-// Instrument hook, an unregistered scheme or a delay-changing schedule bar the
+// Instrument hook, a custom controller or a delay-changing schedule bar the
 // cut whatever Shards asks, and the result reports the domain count the run
 // actually used. The group-of-one run is byte-identical to the frozen
 // hand-wired reference at Shards 0 and 1 alike.
 func TestShardDumbbellSerialFallback(t *testing.T) {
-	base := quickSpec(31)
-	base.Shards = 2
-	if bar := base.shardBar(string(PERT)); bar != "" {
+	plain := quickSpec(31) // no scheme yet: DropTail, ready for a custom controller
+	plain.Shards = 2
+	base := PERT.on(plain)
+	if bar := (Attachments{}).shardBar(base); bar != "" {
 		t.Fatalf("plain spec barred from the cut by %s", bar)
 	}
-	if base.shardBar("not-a-registered-scheme") == "" {
-		t.Fatal("unregistered scheme not barred")
-	}
 	delayed := base
-	delayed.Schedule = netem.LinkSchedule{{At: sim.Second, Delay: ms(5)}}
-	hooked := base
-	hooked.Instrument = func(*topo.Dumbbell) {}
-	for name, spec := range map[string]DumbbellSpec{"delay-changing schedule": delayed, "Instrument hook": hooked} {
-		if spec.shardBar(string(PERT)) == "" {
+	delayed.Links = []scenario.LinkRule{{Link: "forward", Schedule: netem.LinkSchedule{{At: sim.Second, Delay: ms(5)}}}}
+	hooked := Attachments{Instrument: func(*topo.Dumbbell) {}}
+	custom := Attachments{CC: func() tcp.CongestionControl { return tcp.NewVegas() }}
+	for name, c := range map[string]struct {
+		spec scenario.Spec
+		at   Attachments
+	}{
+		"delay-changing schedule": {delayed, Attachments{}},
+		"Instrument hook":         {base, hooked},
+		"custom controller":       {plain, custom},
+	} {
+		if c.at.shardBar(c.spec) == "" {
 			t.Fatalf("%s not barred", name)
 		}
-		if r := RunDumbbell(spec, PERT); r.Domains != 1 {
+		if r := RunDumbbell(c.spec, c.at); r.Domains != 1 {
 			t.Fatalf("%s: barred run used %d domains", name, r.Domains)
 		}
 	}
-	if r := RunDumbbell(base, PERT); r.Domains != 2 {
+	if r := RunDumbbell(base, Attachments{}); r.Domains != 2 {
 		t.Fatalf("shards=2 run used %d domains", r.Domains)
-	}
-	if r := RunDumbbellWith(base, func() tcp.CongestionControl { return tcp.NewVegas() }); r.Domains != 1 {
-		t.Fatalf("custom-controller run used %d domains", r.Domains)
 	}
 
 	base.Shards = 0
-	want := legacyRunDumbbellScheme(base, PERT)
+	want := legacyRunDumbbellScheme(base, Attachments{})
 	want.Domains = 1 // the frozen reference predates the field
 	for _, shards := range []int{0, 1} {
 		spec := base
 		spec.Shards = shards
-		if got := RunDumbbell(spec, PERT); !reflect.DeepEqual(want, got) {
+		if got := RunDumbbell(spec, Attachments{}); !reflect.DeepEqual(want, got) {
 			t.Fatalf("shards=%d diverged from the hand-wired reference:\nlegacy: %+v\ngot:    %+v", shards, want, got)
 		}
 	}
@@ -101,7 +98,7 @@ func TestShardDumbbellSerialFallback(t *testing.T) {
 func TestSweepShardNoteTellsTheTruth(t *testing.T) {
 	spec := quickSpecShort(5)
 	delayed := spec
-	delayed.Schedule = netem.LinkSchedule{{At: 5 * sim.Second, Delay: ms(25)}}
+	delayed.Links = []scenario.LinkRule{{Link: "forward", Schedule: netem.LinkSchedule{{At: 5 * sim.Second, Delay: ms(25)}}}}
 	points := []sweepPoint{{"plain", spec}, {"delayed", delayed}}
 	sweep := func(ctx context.Context) []string {
 		tab, err := runSweep(ctx, "note-test", "note test", "x", points, []Scheme{PERT, SackDroptail})

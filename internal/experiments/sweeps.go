@@ -7,26 +7,18 @@ import (
 	"slices"
 	"strings"
 
+	"pert/internal/scenario"
 	"pert/internal/sim"
-	"pert/internal/tcp"
 )
 
-// cell is one independent seeded dumbbell run of a table: a registered scheme,
-// or — when cc is set — a custom controller over DropTail that name only
-// labels. label is the cell's x-axis value, empty in a table that is not swept.
+// cell is one independent seeded Section 4 run of a table: spec names a
+// registered scheme, or its groups name none and at.CC is the controller.
+// name labels the row and the series file; label is the cell's x-axis value,
+// empty in a table that is not swept.
 type cell struct {
 	label, name string
-	cc          func() tcp.CongestionControl
-	spec        DumbbellSpec
-}
-
-// scheme is the name the run goes by: what RunDumbbell / RunDumbbellWith
-// label it with and what shardBar judges.
-func (c cell) scheme() string {
-	if c.cc != nil {
-		return customCC
-	}
-	return c.name
+	at          Attachments
+	spec        scenario.Spec
 }
 
 // runCells is the one cell loop: it runs every cell on Workers(ctx) workers
@@ -56,13 +48,13 @@ func runCells(ctx context.Context, t *Table, cells []cell, row func(i int, r Dum
 				}
 				return nil, fmt.Errorf("%s: %w", t.ID, err)
 			}
-			cells[i].spec.Metrics = ms
+			cells[i].at.Metrics = ms
 			closers = append(closers, closeFn)
 		}
 	}
 	results := make([]DumbbellResult, len(cells))
 	runErr := forEach(ctx, len(cells), func(i int) {
-		results[i] = runDumbbell(cells[i].spec, cells[i].scheme(), cells[i].cc)
+		results[i] = RunDumbbell(cells[i].spec, cells[i].at)
 	})
 	for _, closeFn := range closers {
 		if err := closeFn(); err != nil && runErr == nil {
@@ -83,7 +75,7 @@ func runCells(ctx context.Context, t *Table, cells []cell, row func(i int, r Dum
 		for i, r := range results {
 			if r.Domains > 1 {
 				cut++
-			} else if bar := cells[i].spec.shardBar(cells[i].scheme()); !slices.Contains(bars, bar) {
+			} else if bar := cells[i].at.shardBar(cells[i].spec); !slices.Contains(bars, bar) {
 				bars = append(bars, bar)
 			}
 		}
@@ -96,10 +88,11 @@ func runCells(ctx context.Context, t *Table, cells []cell, row func(i int, r Dum
 	return t, nil
 }
 
-// sweepPoint is one x-axis value of a Section 4 figure.
+// sweepPoint is one x-axis value of a Section 4 figure: a cell with no
+// scheme yet.
 type sweepPoint struct {
 	label string
-	spec  DumbbellSpec
+	spec  scenario.Spec
 }
 
 // runSweep runs every (point, scheme) cell and formats the four panels the
@@ -122,7 +115,7 @@ func runSweep(ctx context.Context, id, title, xlabel string, points []sweepPoint
 	cells := make([]cell, 0, len(points)*len(schemes))
 	for _, pt := range points {
 		for _, s := range schemes {
-			cells = append(cells, cell{label: pt.label, name: string(s), spec: pt.spec})
+			cells = append(cells, cell{label: pt.label, name: string(s), spec: s.on(pt.spec)})
 		}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
@@ -139,7 +132,7 @@ type sweepAxis struct {
 	xs    []float64
 }
 
-// sweepDef is one four-panel figure as data: which DumbbellSpec field the
+// sweepDef is one four-panel figure as data: which part of the cell the
 // x-axis sets, over which values on which base at each scale, under which
 // schemes. Point i runs at seed+i.
 type sweepDef struct {
@@ -148,7 +141,7 @@ type sweepDef struct {
 	seed         int64
 	schemes      []Scheme
 	quick, paper sweepAxis
-	set          func(spec *DumbbellSpec, x float64) (label string)
+	set          func(spec *scenario.Spec, x float64) (label string)
 	notes        []string
 }
 
@@ -161,8 +154,8 @@ func rttSweep(seed int64, schemes []Scheme, title string) sweepDef {
 		title: func(a sweepAxis) string { return fmt.Sprintf(title, a.mbps, a.flows) },
 		quick: sweepAxis{30, 10, []float64{10, 30, 60, 150, 400}},
 		paper: sweepAxis{150, 50, []float64{10, 30, 60, 100, 300, 1000}},
-		set: func(spec *DumbbellSpec, x float64) string {
-			spec.RTTs = []sim.Duration{ms(x)}
+		set: func(spec *scenario.Spec, x float64) string {
+			spec.Topology.RTTs = []sim.Duration{ms(x)}
 			return fmt.Sprintf("%gms", x)
 		},
 	}
@@ -179,9 +172,9 @@ var sweepDefs = map[string]sweepDef{
 		title: func(sweepAxis) string { return "Impact of bottleneck link bandwidth (RTT 60 ms)" },
 		quick: sweepAxis{xs: []float64{1, 5, 20, 80}},
 		paper: sweepAxis{xs: []float64{1, 10, 100, 500, 1000}},
-		set: func(spec *DumbbellSpec, x float64) string {
-			spec.Bandwidth = x * 1e6
-			spec.Flows = max(2, int(math.Ceil(x/2)))
+		set: func(spec *scenario.Spec, x float64) string {
+			spec.Topology.Bandwidth = x * 1e6
+			spec.Groups[fwdGroup].Count = max(2, int(math.Ceil(x/2)))
 			return fmt.Sprintf("%gMbps", x)
 		},
 		notes: []string{"flows scale with bandwidth as in the paper"},
@@ -197,8 +190,8 @@ var sweepDefs = map[string]sweepDef{
 		},
 		quick: sweepAxis{mbps: 50, xs: []float64{1, 4, 16, 64, 256}},
 		paper: sweepAxis{mbps: 500, xs: []float64{1, 10, 100, 400, 1000}},
-		set: func(spec *DumbbellSpec, x float64) string {
-			spec.Flows = int(x)
+		set: func(spec *scenario.Spec, x float64) string {
+			spec.Groups[fwdGroup].Count = int(x)
 			return fmt.Sprint(x)
 		},
 	},
@@ -211,8 +204,8 @@ var sweepDefs = map[string]sweepDef{
 		},
 		quick: sweepAxis{30, 10, []float64{10, 50, 100, 200}},
 		paper: sweepAxis{150, 50, []float64{10, 100, 500, 1000}},
-		set: func(spec *DumbbellSpec, x float64) string {
-			spec.WebSessions = int(x)
+		set: func(spec *scenario.Spec, x float64) string {
+			spec.Groups[webGroup].Count = int(x)
 			return fmt.Sprint(x)
 		},
 	},
@@ -274,8 +267,9 @@ func Table1(ctx context.Context, scale Scale) (*Table, error) {
 	schemes := []Scheme{PERT, SackDroptail, SackRED, Vegas}
 	cells := make([]cell, len(schemes))
 	for i, s := range schemes {
-		cells[i] = cell{name: string(s), spec: scale.dumbbell(5000+int64(i), bwMbps, 10)}
-		cells[i].spec.RTTs, cells[i].spec.WebSessions = rtts, webs
+		spec := scale.dumbbell(5000+int64(i), bwMbps, 10)
+		spec.Topology.RTTs, spec.Groups[webGroup].Count = rtts, webs
+		cells[i] = cell{name: string(s), spec: s.on(spec)}
 	}
 	return runCells(ctx, t, cells, func(i int, r DumbbellResult) []string {
 		return []string{cells[i].name, f2(r.NormQueue), sci(r.DropRate), pct(r.Utilization), f2(r.Jain)}

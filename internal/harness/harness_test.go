@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pert/internal/experiments"
+	"pert/internal/scenario"
 	"pert/internal/sim"
 )
 
@@ -86,7 +87,7 @@ func TestRunRecoversPanicAndContinues(t *testing.T) {
 func TestRunPanicInsideForEachWorker(t *testing.T) {
 	// A panic deep inside a parallel sweep (e.g. an unknown scheme reaching
 	// a scenario builder) must surface as this run's error, not kill the
-	// process. RunDumbbell panics on unknown schemes; forEach recovers.
+	// process. RunDumbbell panics on a spec it cannot run; forEach recovers.
 	exp := experiments.Experiment{
 		ID: "bad-sweep",
 		Run: func(ctx context.Context, scale experiments.Scale) ([]*experiments.Table, error) {
@@ -94,7 +95,8 @@ func TestRunPanicInsideForEachWorker(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			experiments.RunDumbbell(experiments.DumbbellSpec{}, experiments.Scheme("nonsense"))
+			cell := scenario.Spec{Topology: scenario.TopologySpec{AQM: "nonsense"}, Groups: make([]scenario.FlowGroupSpec, 3)}
+			experiments.RunDumbbell(cell, experiments.Attachments{})
 			return []*experiments.Table{tab}, nil
 		},
 	}

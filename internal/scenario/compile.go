@@ -189,9 +189,10 @@ func buildDumbbell(net *netem.Network, spec Spec, qf topo.QueueFactory) *topo.Du
 }
 
 // impairSeed derives the dedicated fault-RNG seed for link rule i. Rule 0
-// uses the historical constant so single-rule scenarios reproduce the exact
-// fault sequences of the original DumbbellSpec path; later rules mix in the
-// rule index so each link gets an independent stream.
+// uses the historical constant, so a Section 4 cell's forward rule (its
+// Links[0]) reproduces the fault sequences of the hand-wired dumbbell the
+// committed tables were recorded on; later rules mix in the rule index so
+// each link gets an independent stream.
 func impairSeed(seed int64, i int) int64 {
 	return seed ^ 0xfa017 ^ int64(uint64(i)*0x9e3779b97f4a7c15)
 }

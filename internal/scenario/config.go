@@ -12,10 +12,9 @@ import (
 
 // Config is the JSON form of a Spec — scenario schema v2, documented in
 // EXPERIMENTS.md ("Scenario schema v2"). Durations are Go duration strings
-// ("60ms", "50s"); empty strings take the documented defaults. Unlike the
-// legacy single-scheme dumbbell schema (v1), a v2 file names a topology
-// template and any number of per-scheme flow groups, so mixed-scheme runs on
-// arbitrary templates need no Go code.
+// ("60ms", "50s"); empty strings take the documented defaults. A file names
+// a topology template and any number of per-scheme flow groups, so
+// mixed-scheme runs on arbitrary templates need no Go code.
 type Config struct {
 	Name string `json:"name,omitempty"`
 	Seed int64  `json:"seed"`
@@ -104,7 +103,7 @@ func Load(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return Spec{}, fmt.Errorf("scenario: decoding: %w", err)
+		return Spec{}, fmt.Errorf("scenario: decoding schema v2: %w", err)
 	}
 	return c.Spec()
 }
@@ -184,7 +183,7 @@ func (c Config) Spec() (Spec, error) {
 			ReorderRate:  l.ReorderRate,
 			ReorderExtra: extra,
 		}
-		if rule.Schedule, err = ParseSchedule(l.Schedule, dur); err != nil {
+		if rule.Schedule, err = parseSchedule(l.Schedule, dur); err != nil {
 			return fail(fmt.Errorf("scenario: link rule %d: %w", i, err))
 		}
 		s.Links = append(s.Links, rule)
@@ -235,11 +234,10 @@ func (t TopologyConfig) spec() (TopologySpec, error) {
 	return out, nil
 }
 
-// ParseSchedule converts JSON change configs into a link schedule, rejecting
+// parseSchedule converts JSON change configs into a link schedule, rejecting
 // changes outside [0, dur] and contradictory flap states at load time (the
-// netem layer panics on them at apply time). Both the v2 loader and the
-// legacy flat dumbbell schema share it.
-func ParseSchedule(changes []ChangeConfig, dur sim.Duration) (netem.LinkSchedule, error) {
+// netem layer panics on them at apply time).
+func parseSchedule(changes []ChangeConfig, dur sim.Duration) (netem.LinkSchedule, error) {
 	var out netem.LinkSchedule
 	for j, ch := range changes {
 		at, err := parseDur(ch.At, -1)
@@ -280,18 +278,4 @@ func parseDur(s string, def sim.Duration) (sim.Duration, error) {
 		return 0, err
 	}
 	return sim.Time(d), nil
-}
-
-// IsV2 sniffs whether raw JSON uses schema v2 (a "topology" or "groups"
-// key) rather than the legacy flat dumbbell schema — how pertsim decides
-// which loader to hand a -config file to.
-func IsV2(raw []byte) bool {
-	var probe struct {
-		Topology *json.RawMessage `json:"topology"`
-		Groups   *json.RawMessage `json:"groups"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return false
-	}
-	return probe.Topology != nil || probe.Groups != nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -89,20 +90,6 @@ func TestLoadV2Rejects(t *testing.T) {
 	}
 }
 
-func TestIsV2(t *testing.T) {
-	for raw, want := range map[string]bool{
-		`{"topology":{"template":"dumbbell"}}`:         true,
-		`{"groups":[]}`:                                true,
-		`{"scheme":"PERT","bandwidth_bps":1e6}`:        false,
-		`not json`:                                     false,
-		`{"bandwidth_bps":1e6,"flows":1,"duration":1}`: false,
-	} {
-		if IsV2([]byte(raw)) != want {
-			t.Errorf("IsV2(%s) != %v", raw, want)
-		}
-	}
-}
-
 // Every committed example scenario must load cleanly — the same gate `make
 // check` runs via pertsim -validate.
 func TestExampleScenariosLoad(t *testing.T) {
@@ -118,18 +105,40 @@ func TestExampleScenariosLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !IsV2(raw) {
-			t.Errorf("%s: not schema v2", p)
-			continue
-		}
 		if _, err := Load(strings.NewReader(string(raw))); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 	}
 }
 
-// FuzzLoadSpec hardens the v2 JSON loader: no panics, and every accepted spec
-// must satisfy its own Validate contract.
+// fuzzNodeBudget bounds the network a fuzzed document may build. Compile
+// constructs every node and an all-pairs routing table, so an accepted
+// "hosts": 1e6 costs memory and time without exercising anything new. 600
+// admits the largest derived dumbbell (256 host pairs) and the paper's
+// parking lot.
+const fuzzNodeBudget = 600
+
+// withinNodeBudget reports whether the spec's topology builds at most
+// fuzzNodeBudget nodes, counting a dumbbell whose host count is derived from
+// its groups at the 256-pair cap. Each factor is bounded before multiplying,
+// so a fuzzed "hosts": 2^62 cannot overflow its way under the budget.
+func withinNodeBudget(s Spec) bool {
+	if s.Topology.Template == ParkingLotTemplate {
+		r, c := s.Topology.routers(), s.Topology.cloudSize()
+		return r <= fuzzNodeBudget && c < fuzzNodeBudget && r*(c+1) <= fuzzNodeBudget
+	}
+	hosts := s.Topology.Hosts
+	if hosts == 0 {
+		hosts = 256
+	}
+	return hosts <= (fuzzNodeBudget-2)/2
+}
+
+// FuzzLoadSpec hardens the v2 JSON loader, the one way a user's file enters
+// the program: no panics, every accepted spec satisfies its own Validate
+// contract, and — within the node budget — compiles on a fresh engine and
+// network without error or panic, so nothing the loader accepts can fail
+// the runner.
 func FuzzLoadSpec(f *testing.F) {
 	f.Add(`{"topology":{"template":"dumbbell","bandwidth_bps":1e6},"groups":[{"scheme":"PERT","count":1,"from":"left","to":"right"}],"duration":"10s"}`)
 	f.Add(`{"topology":{"template":"parkinglot","routers":4},"groups":[{"scheme":"PERT","count":2,"from":"cloud1","to":"cloud4"}],"duration":"20s"}`)
@@ -150,6 +159,13 @@ func FuzzLoadSpec(f *testing.F) {
 		}
 		if spec.Duration <= 0 || spec.MeasureFrom < 0 || spec.measureUntil() > spec.Duration {
 			t.Fatalf("inconsistent window: %+v", spec)
+		}
+		if !withinNodeBudget(spec) {
+			return
+		}
+		eng := sim.NewEngine(spec.Seed)
+		if _, err := Compile(eng, netem.NewNetwork(eng), spec); err != nil {
+			t.Fatalf("Load accepted a spec that does not compile: %v\n%s", err, data)
 		}
 	})
 }

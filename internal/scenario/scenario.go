@@ -238,6 +238,9 @@ func (s Spec) Validate() error {
 			if err := s.Topology.checkNodeSelector(sel); err != nil {
 				return fmt.Errorf("scenario: group %d: %w", i, err)
 			}
+			if p, _ := parseSelector(sel); g.Count > 0 && p.hasRange && p.hi == p.lo {
+				return fmt.Errorf("scenario: group %d: endpoint %q selects no hosts for its %d flows", i, sel, g.Count)
+			}
 		}
 		switch g.model() {
 		case PacketModel:

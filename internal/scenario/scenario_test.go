@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
 	"pert/internal/netem"
@@ -57,6 +58,7 @@ func TestValidateRejects(t *testing.T) {
 		"bad endpoint":     func(s *Spec) { s.Groups[0].From = "cloud1" },
 		"bad range":        func(s *Spec) { s.Groups[0].From = "left[2:" },
 		"inverted range":   func(s *Spec) { s.Groups[0].From = "left[3:1]" },
+		"empty range":      func(s *Spec) { s.Groups[0].To = "right[0:0]" },
 		"range past hosts": func(s *Spec) { s.Topology.Hosts = 2; s.Groups[0].To = "right[0:5]" },
 		"bad link":         func(s *Spec) { s.Links = []LinkRule{{Link: "core1"}} },
 		"loss >= 1":        func(s *Spec) { s.Links = []LinkRule{{Link: "forward", LossRate: 1}} },
@@ -251,5 +253,34 @@ func TestWebGroupUsesRenoUnlessProactive(t *testing.T) {
 	}
 	if inst.Groups[1].CC == nil {
 		t.Fatal("web group has no controller")
+	}
+}
+
+// TestValidateRTTBelowTwiceDelay: a dumbbell path crosses the bottleneck
+// twice, so an RTT below twice the effective bottleneck delay (Delay, or
+// RTTs[0]/3 when unset) cannot be realized. Validate rejects it instead of
+// letting the topology stretch it to that floor; the floor itself is fine.
+func TestValidateRTTBelowTwiceDelay(t *testing.T) {
+	for _, c := range []struct {
+		delay sim.Duration
+		rtts  []sim.Duration
+		ok    bool
+	}{
+		{20 * sim.Millisecond, []sim.Duration{10 * sim.Millisecond}, false},
+		{0, []sim.Duration{120 * sim.Millisecond, 12 * sim.Millisecond}, false},
+		{20 * sim.Millisecond, []sim.Duration{60 * sim.Millisecond, 39 * sim.Millisecond}, false},
+		{20 * sim.Millisecond, []sim.Duration{60 * sim.Millisecond, 40 * sim.Millisecond}, true},
+		{0, []sim.Duration{60 * sim.Millisecond, 40 * sim.Millisecond}, true},
+		{0, []sim.Duration{12 * sim.Millisecond, 120 * sim.Millisecond}, true},
+	} {
+		s := validSpec()
+		s.Topology.Delay, s.Topology.RTTs = c.delay, c.rtts
+		err := s.Validate()
+		if c.ok != (err == nil) {
+			t.Errorf("delay %v rtts %v: err = %v, want ok=%v", c.delay, c.rtts, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "bottleneck delay") {
+			t.Errorf("delay %v rtts %v: error does not name the bottleneck delay: %v", c.delay, c.rtts, err)
+		}
 	}
 }

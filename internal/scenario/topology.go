@@ -102,9 +102,18 @@ func (t TopologySpec) validate() error {
 		if t.Bandwidth <= 0 {
 			return fmt.Errorf("scenario: dumbbell needs a positive bandwidth")
 		}
+		// Each direction crosses two access links and the bottleneck, so an
+		// RTT below twice the bottleneck delay has no realizing access delay.
+		delay := t.Delay
+		if delay == 0 && len(t.RTTs) > 0 {
+			delay = t.RTTs[0] / 3
+		}
 		for _, r := range t.RTTs {
 			if r <= 0 {
 				return fmt.Errorf("scenario: non-positive rtt %v", r)
+			}
+			if r < 2*delay {
+				return fmt.Errorf("scenario: rtt %v is below twice the %v bottleneck delay, the shortest a dumbbell path realizes", r, delay)
 			}
 		}
 	case ParkingLotTemplate:

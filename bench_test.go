@@ -244,7 +244,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	var t sim.Time
 	for i := 0; i < b.N; i++ {
 		t += sim.Microsecond
-		eng.At(t, func() {})
+		eng.Do(t, func() {})
 		if i%1024 == 1023 {
 			eng.Run(t)
 		}

@@ -44,6 +44,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Out-of-range parameters would panic in the integrator or print NaN
+	// columns, so they are rejected before any mode runs.
+	for _, f := range []struct {
+		name string
+		ok   bool
+	}{
+		{"c", *c > 0}, {"n", *n > 0}, {"r", *r > 0}, {"delta", *delta > 0},
+		{"step", *step > 0}, {"every", *every > 0}, {"dur", *dur >= 0},
+	} {
+		if !f.ok {
+			fmt.Fprintf(stderr, "pertfluid: -%s %s is out of range\n", f.name, fs.Lookup(f.name).Value)
+			return 2
+		}
+	}
+	if *tmin >= *tmax {
+		fmt.Fprintf(stderr, "pertfluid: -tmin %v must be below -tmax %v\n", *tmin, *tmax)
+		return 2
+	}
 
 	p := fluid.PERTParams{
 		C: *c, N: *n, R: r.Seconds(),

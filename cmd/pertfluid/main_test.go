@@ -58,6 +58,36 @@ func TestBadModeAndBadFlag(t *testing.T) {
 	}
 }
 
+// TestBadParametersExit2: each parameter the integrator or the closed forms
+// cannot take is a one-line error and exit 2, never a panic or a NaN column.
+func TestBadParametersExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-step", "0"},
+		{"-step", "-1ms"},
+		{"-every", "0"},
+		{"-c", "0"},
+		{"-c", "NaN"},
+		{"-n", "-5"},
+		{"-r", "0"},
+		{"-delta", "0"},
+		{"-dur", "-1s"},
+		{"-tmin", "100ms", "-tmax", "50ms"},
+		{"-mode", "stability", "-tmin", "50ms", "-tmax", "50ms"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout %q)", args, code, out.String())
+			continue
+		}
+		if msg := errb.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "pertfluid: ") {
+			t.Errorf("%v: want a one-line error, got %q", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: rejected run wrote %q", args, out.String())
+		}
+	}
+}
+
 func TestHybridMode(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-mode", "hybrid", "-c", "1e7", "-n", "1e5", "-r", "60ms",

@@ -16,9 +16,10 @@
 // A -config file is a scenario schema v2 document (a "topology"/"groups"
 // object — see EXPERIMENTS.md); it runs through the scenario compiler and
 // may mix schemes and templates. Config runs execute under the harness, so
-// they honor -timeout, -stall-window, and the content-addressed result
-// cache (-cache-dir): a committed run replays instantly, byte-identical
-// tables included. -trace, -qseries and -metrics are flag-run outputs.
+// they honor -shards, -timeout, -stall-window, -retries, -isolate and the
+// content-addressed result cache (-cache-dir): a committed run replays
+// instantly, byte-identical tables included. A flag run rejects those
+// harness flags; -trace, -qseries and -metrics are flag-run outputs.
 package main
 
 import (
@@ -118,10 +119,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pertsim: -cache-dir requires a schema-v2 -config (see EXPERIMENTS.md)")
 		return 2
 	}
-	if shared.IsolateRequested() {
-		// Same restriction: only harness-routed (schema-v2) runs can re-exec
-		// their cell in a worker process.
-		fmt.Fprintln(stderr, "pertsim: -isolate requires a schema-v2 -config (see EXPERIMENTS.md)")
+	// Same restriction for the harness's sweep mechanics: a flag run is one
+	// in-process cell on the serial engine, so none of them would apply.
+	var harnessOnly []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "isolate", "shards", "parallel", "timeout", "stall-window", "retries", "retry-backoff":
+			harnessOnly = append(harnessOnly, "-"+f.Name)
+		}
+	})
+	if len(harnessOnly) > 0 {
+		fmt.Fprintf(stderr, "pertsim: %s requires a schema-v2 -config (see EXPERIMENTS.md)\n", strings.Join(harnessOnly, ", "))
 		return 2
 	}
 

@@ -178,6 +178,14 @@ func TestBadInputIsAnErrorNotAPanic(t *testing.T) {
 		{[]string{"-loss", "1.5"}, 2},
 		{[]string{"-rtts", "120ms,12ms"}, 2},
 		{[]string{"-flows", "0", "-reverse", "2"}, 2},
+		{[]string{"-dur", "20s", "-warm", "5s", "-flows", "4", "-shards", "4"}, 2},
+		{[]string{"-shards", "1"}, 2},
+		{[]string{"-parallel", "7"}, 2},
+		{[]string{"-timeout", "1ns"}, 2},
+		{[]string{"-stall-window", "1ns"}, 2},
+		{[]string{"-retries", "3"}, 2},
+		{[]string{"-retry-backoff", "1s"}, 2},
+		{[]string{"-timeout", "1ns", "-retries", "3", "-stall-window", "1ns", "-parallel", "7"}, 2},
 		{[]string{"-config", negFlows}, 1},
 		{[]string{"-config", negFlows, "-validate"}, 1},
 		{[]string{"-config", zeroRTT}, 1},

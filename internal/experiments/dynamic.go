@@ -61,7 +61,7 @@ func Fig12(ctx context.Context, scale Scale, scheme Scheme) (*Table, error) {
 	// first-in last-out as in the paper (flows leave 25 at a time).
 	for c := 0; c < nCohorts; c++ {
 		flows := x.Groups[c].Flows
-		x.Eng.At(sim.Time(2*nCohorts-1-c)*phase, func() {
+		x.Eng.Do(sim.Time(2*nCohorts-1-c)*phase, func() {
 			for _, f := range flows {
 				f.Close()
 			}

@@ -95,12 +95,18 @@ func (b *Builder) Spec() (harness.RunSpec, error) {
 		MetricsInterval: *b.metricsInterval,
 		Cache:           harness.CachePolicy{Dir: *b.cacheDir, Mode: *b.cacheMode},
 		Isolate:         *b.isolate,
+		Retry:           harness.RetryPolicy{Backoff: *b.retryBackoff},
+	}
+	// RunSpec reads a Workers below 1 as "all cores" and has no retry count,
+	// so the two counts are range-checked here.
+	if *b.parallel < 0 {
+		return spec, fmt.Errorf("negative -parallel %d", *b.parallel)
+	}
+	if *b.retries < 0 {
+		return spec, fmt.Errorf("negative -retries %d", *b.retries)
 	}
 	if *b.retries > 0 {
-		spec.Retry = harness.RetryPolicy{
-			MaxAttempts: *b.retries + 1,
-			Backoff:     *b.retryBackoff,
-		}
+		spec.Retry.MaxAttempts = *b.retries + 1
 	}
 	if b.scale != nil {
 		spec.Scale = *b.scale
@@ -145,10 +151,6 @@ func (b *Builder) MetricsInterval() time.Duration { return *b.metricsInterval }
 // directory (regardless of mode), so binaries whose code path cannot cache
 // can reject the combination loudly instead of ignoring it.
 func (b *Builder) CacheRequested() bool { return *b.cacheDir != "" && *b.cacheMode != harness.CacheOff }
-
-// IsolateRequested reports whether -isolate was set, for binaries whose
-// non-harness code paths cannot honor it.
-func (b *Builder) IsolateRequested() bool { return *b.isolate }
 
 // FsckRequested reports whether this invocation is a -cache-fsck repair run
 // rather than a sweep.

@@ -108,6 +108,20 @@ func TestSpecValidates(t *testing.T) {
 	if _, err := b.Spec(); err == nil {
 		t.Fatal("bad cache mode accepted")
 	}
+
+	for _, args := range [][]string{
+		{"-parallel", "-1"}, {"-retries", "-1"}, {"-retry-backoff", "-1s"},
+		{"-timeout", "-1s"}, {"-stall-window", "-5s"}, {"-metrics-interval", "-1s"},
+	} {
+		fs = newFS()
+		b = New(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Spec(); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
 func TestCacheOffMode(t *testing.T) {

@@ -24,7 +24,7 @@ func simExperiment(id string) experiments.Experiment {
 			eng := sim.NewEngine(1)
 			n := 0
 			for i := 1; i <= 1000; i++ {
-				eng.At(sim.Time(i)*sim.Millisecond, func() { n++ })
+				eng.Do(sim.Time(i)*sim.Millisecond, func() { n++ })
 			}
 			eng.Run(2 * sim.Second)
 			tab := &experiments.Table{ID: id, Title: "synthetic", Header: []string{"events"}}
@@ -200,7 +200,7 @@ func TestRunWatchdogToleratesProgressingRun(t *testing.T) {
 			for time.Now().Before(deadline) {
 				eng := sim.NewEngine(1)
 				for i := 1; i <= 100; i++ {
-					eng.At(sim.Time(i), func() {})
+					eng.Do(sim.Time(i), func() {})
 				}
 				eng.Run(sim.Second)
 				time.Sleep(5 * time.Millisecond)

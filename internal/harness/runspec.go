@@ -151,6 +151,20 @@ func (s RunSpec) Validate() error {
 	if s.Shards < 0 || s.Shards > sim.MaxShards {
 		return fmt.Errorf("harness: shards %d outside [0, %d]", s.Shards, sim.MaxShards)
 	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"timeout", s.Timeout}, {"stall window", s.StallWindow}, {"metrics interval", s.MetricsInterval},
+		{"retry backoff", s.Retry.Backoff}, {"retry max backoff", s.Retry.MaxBackoff},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("harness: negative %s %v", d.name, d.v)
+		}
+	}
+	if s.Retry.MaxAttempts < 0 {
+		return fmt.Errorf("harness: negative retry max attempts %d", s.Retry.MaxAttempts)
+	}
 	if err := s.Cache.validate(); err != nil {
 		return err
 	}

@@ -280,6 +280,19 @@ func TestRunSpecValidate(t *testing.T) {
 	if err := (RunSpec{Scenario: &scenario.Spec{}}).Validate(); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
+	for _, s := range []RunSpec{
+		{Timeout: -time.Second},
+		{StallWindow: -5 * time.Second},
+		{MetricsInterval: -time.Second},
+		{Retry: RetryPolicy{MaxAttempts: -1}},
+		{Retry: RetryPolicy{MaxAttempts: 2, Backoff: -time.Second}},
+		{Retry: RetryPolicy{MaxAttempts: 2, MaxBackoff: -time.Second}},
+		{Retry: RetryPolicy{Backoff: -time.Second}},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("negative setting accepted: %+v", s)
+		}
+	}
 }
 
 func TestCachePolicyModes(t *testing.T) {

@@ -227,14 +227,14 @@ func TestAuditPartitioned(t *testing.T) {
 		}
 		src := nodes[0]
 		for i := 0; i < 50; i++ {
-			src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+			src.Engine().Do(sim.Time(i)*sim.Millisecond, func() {
 				p := src.NewPacket()
 				p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 				net.SendFrom(src, p)
 			})
 		}
 		// A lost-packet bug, 10 ms into the run, on the shard owning domain 0.
-		src.Engine().At(10*sim.Millisecond, func() { net.doms[0].acct.Injected++ })
+		src.Engine().Do(10*sim.Millisecond, func() { net.doms[0].acct.Injected++ })
 		g.Run(200 * sim.Millisecond)
 		if h.n != 50 {
 			t.Fatalf("shards=%d: delivered %d of 50", shards, h.n)

@@ -52,7 +52,7 @@ func TestPartitionCrossDelivery(t *testing.T) {
 		src := nodes[0]
 		for i := 0; i < 20; i++ {
 			i := i
-			src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+			src.Engine().Do(sim.Time(i)*sim.Millisecond, func() {
 				p := src.NewPacket()
 				p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 				net.SendFrom(src, p)
@@ -126,7 +126,7 @@ func TestPartitionImpairedBoundary(t *testing.T) {
 		src := nodes[0]
 		for i := 0; i < 200; i++ {
 			i := i
-			src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+			src.Engine().Do(sim.Time(i)*sim.Millisecond, func() {
 				p := src.NewPacket()
 				p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 				net.SendFrom(src, p)

@@ -101,7 +101,7 @@ func (s LinkSchedule) HasDelayChange() bool {
 
 // Apply schedules every change on the link's engine and records the
 // schedule on the link. Call once, before the run starts; a later
-// Partition re-arms the recorded events on the owning domain's engine.
+// Partition re-arms the recorded changes on the owning domain's engine.
 func (s LinkSchedule) Apply(l *Link) {
 	for _, c := range s {
 		if c.Capacity < 0 {
@@ -115,10 +115,10 @@ func (s LinkSchedule) Apply(l *Link) {
 	l.sched = append(l.sched, s...)
 }
 
-// armChange schedules one validated change on the link's current engine,
-// keeping the event handle for migration.
+// armChange schedules one validated change on the link's current engine as
+// a one-shot timer, kept for migration.
 func (l *Link) armChange(c LinkChange) {
-	ev := l.eng.At(c.At, func() {
+	tm := l.eng.NewTimer(func() {
 		if c.Capacity > 0 {
 			l.SetCapacity(c.Capacity)
 		}
@@ -132,22 +132,23 @@ func (l *Link) armChange(c LinkChange) {
 			l.SetUp(true)
 		}
 	})
-	l.schedEvents = append(l.schedEvents, ev)
+	tm.Reset(c.At)
+	l.schedTimers = append(l.schedTimers, tm)
 }
 
-// migrateSchedule moves the link's pending schedule events onto its
-// (post-Partition) owning engine: cancel on the old engine — Cancel
-// consumes no sequence numbers, so shard 0's event order is untouched —
+// migrateSchedule moves the link's pending schedule changes onto its
+// (post-Partition) owning engine: stop their timers on the old engine —
+// Stop consumes no sequence numbers, so shard 0's event order is untouched —
 // then re-arm on l.eng. Called by Partition before the run starts, while
-// every recorded handle is still pending.
+// every recorded timer is still armed.
 func (l *Link) migrateSchedule() {
 	if len(l.sched) == 0 {
 		return
 	}
-	for _, ev := range l.schedEvents {
-		ev.Cancel()
+	for _, tm := range l.schedTimers {
+		tm.Stop()
 	}
-	l.schedEvents = l.schedEvents[:0]
+	l.schedTimers = l.schedTimers[:0]
 	for _, c := range l.sched {
 		l.armChange(c)
 	}

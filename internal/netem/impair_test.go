@@ -165,7 +165,7 @@ func TestDownLinkLosesPacketInTransmission(t *testing.T) {
 	b.AttachFlow(1, s)
 	net.SendFrom(a, &Packet{ID: net.NewPacketID(), Flow: 1, Src: a.ID, Dst: b.ID, Size: 1000})
 	// Kill the carrier halfway through serialization: the bits go nowhere.
-	eng.At(500*sim.Microsecond, func() { ab.SetUp(false) })
+	eng.Do(500*sim.Microsecond, func() { ab.SetUp(false) })
 	eng.Run(sim.Second)
 	if len(s.got) != 0 {
 		t.Fatal("packet survived a mid-transmission link failure")
@@ -186,7 +186,7 @@ func TestDownLinkDoesNotKillPropagatingPacket(t *testing.T) {
 	net.SendFrom(a, &Packet{ID: net.NewPacketID(), Flow: 1, Src: a.ID, Dst: b.ID, Size: 1000})
 	// Transmission finishes at 1 ms; the packet is then on the wire until
 	// 11 ms. A flap at 5 ms must not destroy it.
-	eng.At(5*sim.Millisecond, func() { ab.SetUp(false) })
+	eng.Do(5*sim.Millisecond, func() { ab.SetUp(false) })
 	eng.Run(sim.Second)
 	if len(s.got) != 1 {
 		t.Fatal("propagating packet was retroactively destroyed by a flap")
@@ -211,7 +211,7 @@ func TestLinkScheduleDrivesCapacityDelayAndFlaps(t *testing.T) {
 	probe := map[sim.Time]state{}
 	for _, at := range []sim.Time{5, 15, 25, 35, 45} {
 		at := at * sim.Millisecond
-		eng.At(at, func() { probe[at] = state{ab.Capacity, ab.Delay, ab.Up()} })
+		eng.Do(at, func() { probe[at] = state{ab.Capacity, ab.Delay, ab.Up()} })
 	}
 	eng.Run(sim.Second)
 

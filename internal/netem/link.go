@@ -99,12 +99,12 @@ type Link struct {
 	// every hook below is a nil check on that path.
 	fluid *FluidSource
 
-	// Schedule state (impair.go): the applied LinkSchedule plus the pending
-	// event handles, kept so Partition can migrate the change events onto
-	// the link's owning domain's engine (and reject Delay changes on
-	// boundary links, whose lookahead is fixed at Connect time).
+	// Schedule state (impair.go): the applied LinkSchedule plus one armed
+	// timer per change, kept so Partition can migrate the changes onto the
+	// link's owning domain's engine (and reject Delay changes on boundary
+	// links, whose lookahead is fixed at Connect time).
 	sched       LinkSchedule
-	schedEvents []*sim.Event
+	schedTimers []*sim.Timer
 }
 
 // capPoint is one breakpoint of the capacity integral: from at onward the

@@ -73,7 +73,7 @@ func FuzzPartition(f *testing.F) {
 		src := nodes[0]
 		for i := 0; i < 5; i++ {
 			i := i
-			src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+			src.Engine().Do(sim.Time(i)*sim.Millisecond, func() {
 				p := src.NewPacket()
 				p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 				net.SendFrom(src, p)

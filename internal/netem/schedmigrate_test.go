@@ -29,7 +29,7 @@ func schedChainRun(t *testing.T, shards int, sched LinkSchedule, on func(net *Ne
 		i := i
 		// Off-grid send times so no packet event ever ties with a schedule
 		// change (tie order between engines is not part of the contract).
-		src.Engine().At(sim.Time(i)*sim.Millisecond+77*sim.Microsecond, func() {
+		src.Engine().Do(sim.Time(i)*sim.Millisecond+77*sim.Microsecond, func() {
 			p := src.NewPacket()
 			p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 			net.SendFrom(src, p)
@@ -167,7 +167,7 @@ func TestShardPartitionRebindsQueueRand(t *testing.T) {
 	src := nodes[0]
 	for i := 0; i < 50; i++ {
 		i := i
-		src.Engine().At(sim.Time(i)*sim.Millisecond, func() {
+		src.Engine().Do(sim.Time(i)*sim.Millisecond, func() {
 			p := src.NewPacket()
 			p.Flow, p.Src, p.Dst, p.Size = 1, src.ID, nodes[3].ID, 1000
 			net.SendFrom(src, p)

@@ -236,7 +236,7 @@ func TestSamplerDeterminism(t *testing.T) {
 		step = func() {
 			draws = append(draws, eng.Rand().Int63())
 			if len(draws) < 50 {
-				eng.DoAfter(sim.Duration(3*sim.Millisecond), step)
+				eng.Do(eng.Now()+3*sim.Millisecond, step)
 			}
 		}
 		eng.Do(0, step)

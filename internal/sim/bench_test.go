@@ -32,30 +32,6 @@ func BenchmarkPostRun(b *testing.B) {
 	}
 }
 
-func BenchmarkAtRun(b *testing.B) {
-	e := NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := Time(i + 1)
-		e.At(t, fn)
-		e.Run(t)
-	}
-}
-
-func BenchmarkAtCancel(b *testing.B) {
-	e := NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := Time(i + 1)
-		e.At(t, fn).Cancel()
-		e.Run(t) // discards the dead entry, recycling the Event
-	}
-}
-
 func BenchmarkTimerResetRun(b *testing.B) {
 	e := NewEngine(1)
 	tm := e.NewTimer(func() {})
@@ -119,17 +95,16 @@ func BenchmarkScheduleBurst(b *testing.B) {
 	}
 }
 
-// The alloc-budget assertions: after warmup (heap, slab and the Event free
-// list grown), the schedule/fire cycle must not allocate at all. These
-// budgets are the CI fence for the pooling work — a future change that
-// reintroduces a per-event allocation fails the suite, not just a benchmark
-// comparison.
+// The alloc-budget assertions: after warmup (heap and slab grown), the
+// schedule/fire cycle must not allocate at all. These budgets are the CI
+// fence for the pooling work — a future change that reintroduces a per-event
+// allocation fails the suite, not just a benchmark comparison.
 
 func warmedEngine() *Engine {
 	e := NewEngine(1)
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.At(Time(i+1), fn)
+		e.Do(Time(i+1), fn)
 	}
 	e.Run(Time(1024))
 	return e
@@ -155,16 +130,6 @@ func TestScheduleAllocBudget(t *testing.T) {
 		e.Do(next, fn)
 		e.Run(next)
 	})
-	assertZeroAllocs(t, "At+Run", func() {
-		next++
-		e.At(next, fn)
-		e.Run(next)
-	})
-	assertZeroAllocs(t, "At+Cancel+Run", func() {
-		next++
-		e.At(next, fn).Cancel()
-		e.Run(next)
-	})
 	assertZeroAllocs(t, "Post+Run", func() {
 		next++
 		e.Post(next, pfn, &arg)
@@ -174,6 +139,12 @@ func TestScheduleAllocBudget(t *testing.T) {
 		next++
 		tm.Reset(next)
 		e.Run(next)
+	})
+	assertZeroAllocs(t, "Timer.Reset+Stop+Run", func() {
+		next++
+		tm.Reset(next)
+		tm.Stop()
+		e.Run(next) // discards the stopped timer's key
 	})
 
 	// The rare branches of the pending set are budgeted too: a carrier that

@@ -51,10 +51,10 @@ func TestCountersConcurrentEngines(t *testing.T) {
 			tick = func() {
 				n++
 				if n < events {
-					eng.After(Microsecond, tick)
+					eng.Do(eng.Now()+Microsecond, tick)
 				}
 			}
-			eng.After(0, tick)
+			eng.Do(eng.Now(), tick)
 			eng.Run(Time(events+1) * Microsecond)
 		}(int64(i + 1))
 	}

@@ -59,10 +59,10 @@ func TestCountersShardGroup(t *testing.T) {
 		tick = func() {
 			n++
 			if n < perShard {
-				e.After(Microsecond, tick)
+				e.Do(e.Now()+Microsecond, tick)
 			}
 		}
-		e.After(0, tick)
+		e.Do(e.Now(), tick)
 	}
 	total := g.Run(until)
 	close(stop)

@@ -31,12 +31,11 @@ func (a key) before(b key) bool {
 // point into by index. It is touched once when the event is scheduled and
 // once when it fires, never while keys are sifted. What a slot holds:
 //
-//   - Post/PostAfter/postExt: fn and arg;
+//   - Post/PostAfter/postExt, and Do through Post: fn and arg;
 //   - a Lane item: fn and arg likewise, plus lane, the item's own (at, seq)
 //     and next, the index of its successor in the lane;
-//   - Do/DoLast, At, a Timer carrier: fn is nil and arg is the func(), the
-//     *Event or the *Timer (all pointer-shaped, so boxing them allocates
-//     nothing).
+//   - a Timer carrier: fn is nil and arg is the *Timer (pointer-shaped, so
+//     boxing it allocates nothing).
 //
 // Free slots are chained through next from Engine.free and hold nothing
 // else: a vacated slot is zeroed, so the slab never retains a dead callback,
@@ -50,56 +49,20 @@ type slot struct {
 	next uint32
 }
 
-// Event is a scheduled callback handle returned by At/After. Events fire in
-// (time, sequence) order.
-//
-// Handle validity: an Event handle is valid until the event fires or is
-// canceled and its heap key is discarded; after that the engine recycles
-// the struct through a free list and the handle may alias a future event.
-// Code that needs a long-lived rearmable handle must use Timer instead —
-// Cancel/Scheduled on a handle that may already have fired is a bug.
-type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	dead   bool
-	engine *Engine
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op. The callback closure is released
-// immediately (not when the dead heap key is eventually popped), so a
-// canceled event never keeps its captured state reachable.
-func (e *Event) Cancel() {
-	if e == nil || e.dead {
-		return
-	}
-	e.dead = true
-	e.fn = nil
-	e.engine.live--
-	e.engine = nil // a stale handle must not pin the engine either
-}
-
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e != nil && !e.dead }
-
-// Time reports when the event is (or was) scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
 // Engine is a single-threaded discrete-event simulator. It owns virtual time,
 // the pending-event set, and the run's random number generator. An Engine is
 // not safe for concurrent use; simulations are deterministic single-goroutine
 // programs by design.
 //
 // The pending set holds event sources, not events. pq is a 4-ary implicit
-// heap of 24-byte pointer-free keys; callbacks, arguments and handles sit in
-// slab, indexed by the key. A one-shot event (Do, Post, At) is a source of
-// one; a Timer keeps at most one live key however often it is reset; a Lane
-// keeps one key for the head of its FIFO and chains the rest through the
-// slab. Cancelation is lazy: a canceled Event, a stopped Timer and a Timer
-// whose deadline moved earlier leave their key in the heap, to be discarded
-// when it surfaces. Together with the Event free list this makes the
-// schedule/pop cycle allocation-free.
+// heap of 24-byte pointer-free keys; callbacks, arguments and timers sit in
+// slab, indexed by the key. A one-shot event (Do, Post) is a source of one;
+// a Timer keeps at most one live key however often it is reset; a Lane keeps
+// one key for the head of its FIFO and chains the rest through the slab.
+// Cancelation is lazy: a stopped Timer and a Timer whose deadline moved
+// earlier leave their key in the heap, to be discarded when it surfaces.
+// Vacated slots are chained for reuse, so the schedule/pop cycle is
+// allocation-free.
 type Engine struct {
 	now     Time
 	pq      []key
@@ -110,22 +73,12 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// barrierSeq numbers DoLast entries within their own key range, above
-	// every ordinary sequence number and every cross-shard injection key
-	// (see shard.go), so barriers at time t fire after all other work at t.
-	barrierSeq uint64
-
 	// noSimTime suppresses this engine's contribution to the process-wide
 	// totalSimTime counter. A ShardGroup sets it on every shard but the
 	// first: all shards advance through the same virtual interval, so
 	// counting each of them would report N× the real simulated time (the
 	// event count, by contrast, is genuinely additive).
 	noSimTime bool
-
-	// freeEvents recycles fired and canceled Event structs. An Event is
-	// returned to the list when its heap key is discarded, which is why
-	// stale handles must not be used (see Event).
-	freeEvents []*Event
 
 	// Rare-branch counters behind QueueStats.
 	requeues, stale, fallbacks uint64
@@ -158,7 +111,7 @@ type QueueStats struct {
 	SlabLen int // slots ever needed at once (the slab never shrinks)
 
 	CarrierRequeues uint64 // timer keys that surfaced early and were re-pushed at the current deadline
-	StaleDiscards   uint64 // keys of canceled events, stopped timers and superseded carriers popped and dropped
+	StaleDiscards   uint64 // keys of stopped timers and superseded carriers popped and dropped
 	LaneFallbacks   uint64 // Lane.Post calls earlier than the lane's tail, scheduled as ordinary events
 }
 
@@ -268,22 +221,6 @@ func (e *Engine) replaceTop(k key) {
 	q[i] = k
 }
 
-func (e *Engine) allocEvent() *Event {
-	if k := len(e.freeEvents); k > 0 {
-		ev := e.freeEvents[k-1]
-		e.freeEvents = e.freeEvents[:k-1]
-		return ev
-	}
-	return &Event{}
-}
-
-func (e *Engine) recycleEvent(ev *Event) {
-	ev.fn = nil
-	ev.dead = true
-	ev.engine = nil
-	e.freeEvents = append(e.freeEvents, ev)
-}
-
 // checkFuture panics on past scheduling: it always indicates a model bug,
 // and silently reordering events would corrupt causality.
 func (e *Engine) checkFuture(t Time) {
@@ -292,48 +229,18 @@ func (e *Engine) checkFuture(t Time) {
 	}
 }
 
-// At schedules fn to run at absolute virtual time t and returns a cancelable
-// handle. The handle is only valid until the event fires (see Event); code
-// that never cancels should prefer Do, which skips the handle entirely.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: At with nil callback")
-	}
-	e.checkFuture(t)
-	e.seq++
-	ev := e.allocEvent()
-	ev.at, ev.seq, ev.fn, ev.dead, ev.engine = t, e.seq, fn, false, e
-	e.schedule(t, ev.seq, nil, ev)
-	return ev
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Do schedules fn to run at absolute virtual time t with no cancelation
-// handle. The callback is stored in a slab slot, so scheduling allocates
-// nothing beyond amortized heap and slab growth.
+// Do schedules fn to run at absolute virtual time t. It is a Post whose
+// argument is fn itself: a func() boxes without allocating, so scheduling
+// costs nothing beyond amortized heap and slab growth.
 func (e *Engine) Do(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: Do with nil callback")
 	}
-	e.checkFuture(t)
-	e.seq++
-	e.schedule(t, e.seq, nil, fn)
+	e.Post(t, callFunc, fn)
 }
 
-// DoAfter schedules fn to run d after the current time, without a handle.
-func (e *Engine) DoAfter(d Duration, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	e.Do(e.now+d, fn)
-}
+// callFunc runs the func() a Do event carries as its argument.
+func callFunc(fn any) { fn.(func())() }
 
 // Post schedules fn(arg) at absolute virtual time t with no handle. Because
 // fn can be a long-lived closure and arg a pointer boxed without allocation,
@@ -366,21 +273,6 @@ func (e *Engine) PostAfter(d Duration, fn func(any), arg any) {
 func (e *Engine) postExt(t Time, key uint64, fn func(any), arg any) {
 	e.checkFuture(t)
 	e.schedule(t, key, fn, arg)
-}
-
-// DoLast schedules fn at absolute time t ordered after every other event at
-// t — ordinary events, timers, and cross-shard injections alike (its key
-// range sorts above both). Multiple barriers at the same instant fire in
-// creation order. Sharded scenario runs use it to take measurement snapshots
-// at window boundaries at exactly the point the serial runner reads them:
-// after all simulation work at t, before anything at t+1.
-func (e *Engine) DoLast(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: DoLast with nil callback")
-	}
-	e.checkFuture(t)
-	e.barrierSeq++
-	e.schedule(t, barrierKeyBase+e.barrierSeq, nil, fn)
 }
 
 // Process-wide counters aggregated across every engine. Engines batch their
@@ -426,9 +318,9 @@ func (e *Engine) Run(until Time) uint64 {
 
 		// Resolve the key to a callback and take it (or, for a lane, the
 		// item it stands for) out of the pending set. Dead and early keys
-		// are dealt with here without touching the clock: a canceled event
-		// must not advance virtual time, exactly as if it had been eagerly
-		// removed. Everything needed is copied out of the slot first —
+		// are dealt with here without touching the clock: a stopped timer
+		// must not advance virtual time, exactly as if its key had been
+		// eagerly removed. Everything needed is copied out of the slot first —
 		// callbacks schedule, and scheduling may move the slab.
 		s := &e.slab[k.slot]
 		argFn, arg := s.fn, s.arg
@@ -448,47 +340,37 @@ func (e *Engine) Run(until Time) uint64 {
 			e.pop()
 			e.freeSlot(k.slot)
 		} else {
-			switch v := arg.(type) {
-			case func():
-				fn = v
-			case *Timer:
-				if v.carrierSeq != k.seq {
-					break // superseded by an earlier carrier: dead key
-				}
-				if v.scheduled && v.seq != k.seq {
+			// A timer carrier: the only slot kind with no fn.
+			tm := arg.(*Timer)
+			if tm.carrierSeq == k.seq { // else superseded by an earlier carrier: dead key
+				if tm.scheduled && tm.seq != k.seq {
 					// The carrier surfaced before the deadline the latest
 					// Reset set: move it there, under the key that Reset
 					// assigned.
-					v.carrierAt, v.carrierSeq = v.when, v.seq
-					e.replaceTop(key{at: v.when, seq: v.seq, slot: k.slot})
+					tm.carrierAt, tm.carrierSeq = tm.when, tm.seq
+					e.replaceTop(key{at: tm.when, seq: tm.seq, slot: k.slot})
 					e.requeues++
 					continue
 				}
-				v.carrierSeq = 0
-				if v.scheduled {
-					v.scheduled = false
-					fn = v.fn
+				tm.carrierSeq = 0
+				if tm.scheduled {
+					tm.scheduled = false
+					fn = tm.fn
 				}
-			case *Event:
-				if !v.dead {
-					fn = v.fn
-				}
-				e.recycleEvent(v)
-			default:
-				panic("sim: pending-event slot holds no callback")
 			}
 			e.pop()
 			e.freeSlot(k.slot)
 			if fn == nil {
-				e.stale++ // canceled event, stopped timer or superseded carrier
+				e.stale++ // stopped timer or superseded carrier
 				continue
 			}
 		}
 
 		if k.at < e.now {
-			// At() rejects past scheduling, so a backwards event can only
-			// mean heap corruption; executing it would corrupt causality
-			// silently, which is strictly worse than dying loudly.
+			// Scheduling rejects the past (checkFuture), so a backwards
+			// event can only mean heap corruption; executing it would
+			// corrupt causality silently, which is strictly worse than
+			// dying loudly.
 			panic(fmt.Sprintf("sim: event-time monotonicity violated: next event at %v, clock at %v", k.at, e.now))
 		}
 		e.now = k.at

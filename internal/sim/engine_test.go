@@ -28,9 +28,9 @@ func TestTimeConversions(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
-	e.At(30*Millisecond, func() { fired = append(fired, 3) })
-	e.At(10*Millisecond, func() { fired = append(fired, 1) })
-	e.At(20*Millisecond, func() { fired = append(fired, 2) })
+	e.Do(30*Millisecond, func() { fired = append(fired, 3) })
+	e.Do(10*Millisecond, func() { fired = append(fired, 1) })
+	e.Do(20*Millisecond, func() { fired = append(fired, 2) })
 	e.Run(Second)
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
 		t.Fatalf("order = %v", fired)
@@ -45,7 +45,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5*Millisecond, func() { fired = append(fired, i) })
+		e.Do(5*Millisecond, func() { fired = append(fired, i) })
 	}
 	e.Run(Second)
 	for i, v := range fired {
@@ -58,8 +58,8 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
-	e.At(100*Millisecond, func() { fired = append(fired, e.Now()) })
-	e.At(300*Millisecond, func() { fired = append(fired, e.Now()) })
+	e.Do(100*Millisecond, func() { fired = append(fired, e.Now()) })
+	e.Do(300*Millisecond, func() { fired = append(fired, e.Now()) })
 	n := e.Run(200 * Millisecond)
 	if n != 1 || len(fired) != 1 {
 		t.Fatalf("events before horizon = %d", n)
@@ -77,8 +77,8 @@ func TestEngineHorizon(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
-	e.At(10*Millisecond, func() {
-		e.After(5*Millisecond, func() { fired = append(fired, e.Now()) })
+	e.Do(10*Millisecond, func() {
+		e.Do(e.Now()+5*Millisecond, func() { fired = append(fired, e.Now()) })
 	})
 	e.Run(Second)
 	if len(fired) != 1 || fired[0] != 15*Millisecond {
@@ -88,41 +88,23 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(time10ms(), func() {})
+	e.Do(time10ms(), func() {})
 	e.Run(Second)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(5*Millisecond, func() {})
+	e.Do(5*Millisecond, func() {})
 }
 
 func time10ms() Time { return 10 * Millisecond }
-
-func TestEventCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(10*Millisecond, func() { fired = true })
-	if !ev.Scheduled() {
-		t.Fatal("event should be scheduled")
-	}
-	ev.Cancel()
-	if ev.Scheduled() {
-		t.Fatal("canceled event still scheduled")
-	}
-	e.Run(Second)
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	ev.Cancel() // double-cancel is a no-op
-}
 
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Millisecond, func() {
+		e.Do(Time(i)*Millisecond, func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -205,7 +187,7 @@ func TestEventOrderProperty(t *testing.T) {
 		e := NewEngine(7)
 		var fired []Time
 		for _, d := range delays {
-			e.At(Time(d%1_000_000)*Microsecond, func() { fired = append(fired, e.Now()) })
+			e.Do(Time(d%1_000_000)*Microsecond, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run(MaxTime - 1)
 		if len(fired) != len(delays) {

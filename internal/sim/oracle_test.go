@@ -19,7 +19,7 @@ type oracleItem struct {
 	at   Time
 	seq  uint64
 	id   int
-	dead bool // canceled event / superseded timer deadline
+	dead bool // stopped or superseded timer deadline
 
 	chained bool // lane item the lane must hold in its chain, not a fallback
 }
@@ -44,10 +44,12 @@ func (h *oracleHeap) Pop() any {
 	return it
 }
 
-type evRec struct {
-	ev   *Event
+// shotRec is a one-shot timer: armed once, then fired or stopped. Its
+// handle stays valid afterwards, and a further Stop is a no-op.
+type shotRec struct {
+	tm   *Timer
 	item *oracleItem
-	done bool // fired or canceled: the handle is no longer valid
+	done bool // fired or stopped
 }
 
 type tmRec struct {
@@ -94,30 +96,30 @@ func (c *byteChooser) intn(n int) int {
 func (c *byteChooser) spent() bool { return c.pos >= len(c.data) }
 
 // tick is the trial's time quantum. Deadlines are small multiples of it, so
-// same-instant collisions between ordinary events, timers, lane items,
-// injection keys and barriers happen all the time instead of never.
+// same-instant collisions between ordinary events, timers, lane items and
+// injection keys happen all the time instead of never.
 const tick = Millisecond
 
 // oracleRun drives one trial. It mirrors the engine's sequence counter by
-// hand: every scheduling operation (At, Do, Post, Timer.Reset, Lane.Post)
-// consumes exactly one sequence number, postExt and DoLast consume none —
-// the parity contract that keeps runs bit-identical across engine rewrites.
+// hand: every scheduling operation (Do, Post, Timer.Reset, Lane.Post)
+// consumes exactly one sequence number, postExt and Timer.Stop consume none —
+// the parity contract that keeps runs bit-identical across engine rewrites,
+// checked against the engine's own counter after every step.
 type oracleRun struct {
-	t          *testing.T
-	e          *Engine
-	c          chooser
-	oh         oracleHeap
-	seq        uint64
-	extSeq     uint64
-	barrierSeq uint64
-	live       int
-	nextID     int
-	maxItems   int
-	events     []*evRec
-	timers     []*tmRec
-	lanes      []*laneRec
-	fires      int
-	fallbacks  uint64
+	t         *testing.T
+	e         *Engine
+	c         chooser
+	oh        oracleHeap
+	seq       uint64
+	extSeq    uint64
+	live      int
+	nextID    int
+	maxItems  int
+	shots     []*shotRec
+	timers    []*tmRec
+	lanes     []*laneRec
+	fires     int
+	fallbacks uint64
 }
 
 func newOracleRun(t *testing.T, seed int64, c chooser, maxItems int) *oracleRun {
@@ -188,6 +190,9 @@ func (r *oracleRun) checkPending() {
 	if got := r.e.Pending(); got != r.live {
 		r.t.Fatalf("Pending = %d, oracle has %d live items", got, r.live)
 	}
+	if r.e.seq != r.seq {
+		r.t.Fatalf("engine drew %d sequence numbers, oracle %d", r.e.seq, r.seq)
+	}
 }
 
 func (r *oracleRun) futureTime() Time {
@@ -214,9 +219,9 @@ func (r *oracleRun) kill(it *oracleItem) {
 	r.live--
 }
 
-func (r *oracleRun) liveEvents() []*evRec {
-	var live []*evRec
-	for _, rec := range r.events {
+func (r *oracleRun) liveShots() []*shotRec {
+	var live []*shotRec
+	for _, rec := range r.shots {
 		if !rec.done {
 			live = append(live, rec)
 		}
@@ -257,16 +262,17 @@ func (r *oracleRun) maybeOps(n int) {
 func (r *oracleRun) more() bool { return r.nextID < r.maxItems && !r.c.spent() }
 
 func (r *oracleRun) op() {
-	switch k := r.c.intn(16); k {
-	case 0, 1: // handle-carrying event
-		it := r.newItem(r.futureTime())
-		rec := &evRec{item: it}
-		rec.ev = r.e.At(it.at, func() {
+	switch k := r.c.intn(15); k {
+	case 0, 1: // one-shot timer: NewTimer draws no sequence number, Reset one
+		rec := &shotRec{}
+		rec.tm = r.e.NewTimer(func() {
 			rec.done = true
-			r.expect(it)
+			r.expect(rec.item)
 			r.maybeOps(r.c.intn(3))
 		})
-		r.events = append(r.events, rec)
+		rec.item = r.newItem(r.futureTime())
+		rec.tm.Reset(rec.item.at)
+		r.shots = append(r.shots, rec)
 	case 2: // handle-free closure
 		it := r.newItem(r.futureTime())
 		r.e.Do(it.at, func() {
@@ -279,15 +285,25 @@ func (r *oracleRun) op() {
 			r.expect(a.(*oracleItem))
 			r.maybeOps(r.c.intn(2))
 		}, it)
-	case 4, 5: // cancel a pending handle (lazy deletion in the engine)
-		live := r.liveEvents()
+	case 4: // stop a pending one-shot timer (lazy deletion in the engine)
+		live := r.liveShots()
 		if len(live) == 0 {
 			return
 		}
 		rec := live[r.c.intn(len(live))]
-		rec.ev.Cancel()
+		rec.tm.Stop()
 		r.kill(rec.item)
 		rec.done = true
+	case 5: // stop any one-shot timer: on a fired or stopped one, a no-op
+		if len(r.shots) == 0 {
+			return
+		}
+		rec := r.shots[r.c.intn(len(r.shots))]
+		rec.tm.Stop()
+		if !rec.done {
+			r.kill(rec.item)
+			rec.done = true
+		}
 	case 6: // move a timer deadline anywhere
 		r.resetTimer(r.timers[r.c.intn(len(r.timers))], r.futureTime())
 	case 7, 8, 9: // move an armed timer later / earlier / to the same instant
@@ -337,13 +353,6 @@ func (r *oracleRun) op() {
 			r.expect(a.(*oracleItem))
 			r.maybeOps(r.c.intn(2))
 		}, it)
-	case 15: // barrier: after everything else at its instant
-		r.barrierSeq++
-		it := r.newItemKey(r.futureTime(), barrierKeyBase+r.barrierSeq)
-		r.e.DoLast(it.at, func() {
-			r.expect(it)
-			r.maybeOps(r.c.intn(2))
-		})
 	}
 }
 
@@ -400,11 +409,11 @@ func (r *oracleRun) finish() {
 }
 
 // TestHeapMatchesContainerHeapOracle drives the engine and the
-// container/heap oracle side by side through randomized schedules: handle
-// cancelations; timer resets later, earlier and to the same instant, stops,
+// container/heap oracle side by side through randomized schedules: one-shot
+// timers stopped while pending and after firing; timer resets later, earlier and to the same instant, stops,
 // stop-then-reset, and re-arming from the timer's own callback; lane posts in
-// and out of order, and from the lane's own callback; injection and barrier
-// keys colliding with local ones at the same instant; all of it also issued
+// and out of order, and from the lane's own callback; injection keys
+// colliding with local ones at the same instant; all of it also issued
 // from inside firing callbacks, with Run horizons that fall between a timer's
 // carrier and its real deadline. Dead keys may linger in the engine's heap,
 // a timer may be carried by a key far from its deadline and a lane by one key
@@ -434,8 +443,8 @@ func TestHeapMatchesContainerHeapOracle(t *testing.T) {
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 5, 7, 0, 3, 8, 0, 2, 9, 0, 0, 11, 0, 4, 0})
-	f.Add([]byte{12, 0, 3, 12, 0, 1, 13, 0, 0, 13, 1, 9, 14, 2, 1, 15, 1, 0, 2, 1, 0})
-	f.Add([]byte{0, 4, 2, 4, 0, 10, 1, 11, 1, 7, 3, 1, 200, 31, 77, 5, 9, 250, 14, 15, 15, 14})
+	f.Add([]byte{12, 0, 3, 12, 0, 1, 13, 0, 0, 13, 1, 9, 14, 2, 1, 5, 1, 0, 2, 1, 0})
+	f.Add([]byte{0, 4, 2, 4, 0, 10, 1, 11, 1, 7, 3, 1, 200, 31, 77, 5, 9, 250, 14, 4, 0, 5, 0, 14})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

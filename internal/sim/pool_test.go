@@ -34,24 +34,6 @@ func expectCollected(t *testing.T, what string, collected <-chan struct{}) {
 	t.Fatal(what)
 }
 
-// TestCanceledEventReleasesClosure verifies that Cancel releases the event's
-// callback closure immediately rather than when the dead heap key is
-// eventually popped: the closure's captured state must become collectable
-// while the key still sits in the heap. Without the explicit fn = nil in
-// Cancel, a canceled long-deadline event (an RTO armed for seconds of
-// virtual time) would pin everything its callback captured.
-func TestCanceledEventReleasesClosure(t *testing.T) {
-	e := NewEngine(1)
-	p, collected := newPayload()
-	ev := e.At(Second, p.touch())
-	p = nil
-	ev.Cancel()
-	// The dead key is still in the heap (nothing has run), yet the
-	// payload must be collectable now.
-	expectCollected(t, "canceled event still pins its closure's captures", collected)
-	runtime.KeepAlive(e)
-}
-
 // TestFiredSlotsReleaseCallbacks: the slab outlives every event that passes
 // through it, so a slot must be zeroed when its event fires — closure,
 // argument and lane pointer alike — or the engine would pin the last
@@ -64,8 +46,8 @@ func TestFiredSlotsReleaseCallbacks(t *testing.T) {
 	e.Do(Millisecond, p.touch())
 	p, postFired := newPayload()
 	e.Post(Millisecond, nop, p)
-	p, atFired := newPayload()
-	e.At(Millisecond, p.touch())
+	p, timerFired := newPayload()
+	e.NewTimer(p.touch()).Reset(Millisecond)
 	p, extFired := newPayload()
 	e.postExt(Millisecond, extKeyBase|1, nop, p)
 	p = nil
@@ -78,7 +60,7 @@ func TestFiredSlotsReleaseCallbacks(t *testing.T) {
 
 	expectCollected(t, "fired Do event's closure still reachable from the slab", doFired)
 	expectCollected(t, "fired Post event's argument still reachable from the slab", postFired)
-	expectCollected(t, "fired At event's closure still reachable", atFired)
+	expectCollected(t, "fired one-shot timer still reachable from the slab", timerFired)
 	expectCollected(t, "fired injected event's argument still reachable from the slab", extFired)
 	runtime.KeepAlive(e)
 }
@@ -120,48 +102,30 @@ func TestLaneReleasesFiredItems(t *testing.T) {
 	runtime.KeepAlive(&ln)
 }
 
-// TestEventRecycling documents the handle-validity contract: once an event
-// fires (or a canceled one is discarded at the heap top), its struct returns
-// to the engine's free list and the next At may hand the same pointer back.
-// Code holding a handle past its fire time is aliasing someone else's event —
-// persistent needs must use Timer.
-func TestEventRecycling(t *testing.T) {
-	e := NewEngine(1)
-	ev1 := e.At(Millisecond, func() {})
-	e.Run(Millisecond)
-	ev2 := e.At(2*Millisecond, func() {})
-	if ev1 != ev2 {
-		t.Fatal("fired event was not recycled through the free list")
-	}
-
-	// A canceled event is recycled when its dead entry reaches the top.
-	ev2.Cancel()
-	e.Run(2 * Millisecond)
-	ev3 := e.At(3*Millisecond, func() {})
-	if ev3 != ev2 {
-		t.Fatal("canceled event was not recycled after its entry was discarded")
-	}
-	e.Run(3 * Millisecond)
-}
-
 // TestCancelKeepsClockAndPending verifies lazy deletion is invisible to the
-// engine's observable state: canceled events do not advance the clock when
-// their dead entries are discarded, and Pending never counts them.
+// engine's observable state: stopped timers do not advance the clock when
+// their dead keys are discarded, and Pending never counts them.
 func TestCancelKeepsClockAndPending(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
-	evs := make([]*Event, 0, 10)
+	tms := make([]*Timer, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		evs = append(evs, e.At(Time(i+1)*Millisecond, func() { fired = append(fired, i) }))
+		tm := e.NewTimer(func() { fired = append(fired, i) })
+		tm.Reset(Time(i+1) * Millisecond)
+		tms = append(tms, tm)
 	}
-	// Cancel the odd ones; Pending must drop immediately even though the
-	// heap still holds their entries.
+	// Stop the odd ones; Pending must drop immediately even though the
+	// heap still holds their keys.
 	for i := 1; i < 10; i += 2 {
-		evs[i].Cancel()
+		tms[i].Stop()
+		tms[i].Stop() // stopping a stopped timer is a no-op
 	}
 	if got := e.Pending(); got != 5 {
-		t.Fatalf("Pending = %d after cancels, want 5", got)
+		t.Fatalf("Pending = %d after stops, want 5", got)
+	}
+	if qs := e.QueueStats(); qs.HeapLen != 10 {
+		t.Fatalf("HeapLen = %d after stops, want all 10 keys still in the heap", qs.HeapLen)
 	}
 	n := e.Run(20 * Millisecond)
 	if n != 5 {
@@ -172,10 +136,13 @@ func TestCancelKeepsClockAndPending(t *testing.T) {
 	}
 	for _, i := range fired {
 		if i%2 != 0 {
-			t.Fatalf("canceled event %d fired", i)
+			t.Fatalf("stopped timer %d fired", i)
 		}
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", e.Pending())
+	}
+	if qs := e.QueueStats(); qs.HeapLen != 0 || qs.StaleDiscards != 5 {
+		t.Fatalf("after drain: %+v, want an empty heap and 5 stale discards", qs)
 	}
 }

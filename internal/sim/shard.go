@@ -33,16 +33,15 @@ import (
 //     local work, and they consume no local sequence numbers at all.
 
 // Heap-key ranges. Ordinary events use Engine.seq, a counter that starts at
-// 1 and cannot plausibly reach 2^62 (at 10^9 events/s that is a century of
-// wall clock); cross-shard injections live in [2^63, 2^63+2^62); DoLast
-// barriers sort above both.
+// 1 and cannot plausibly reach 2^63 (at 10^9 events/s that is centuries of
+// wall clock); cross-shard injections live in [2^63, 2^63+2^61): the top bit,
+// then the sender's shard index above a 47-bit per-port message number.
 const (
-	extKeyBase     = uint64(1) << 63
-	extShardShift  = 47 // shard index field offset inside an injection key
-	barrierKeyBase = uint64(1)<<63 | uint64(1)<<62
+	extKeyBase    = uint64(1) << 63
+	extShardShift = 47 // shard index field offset inside an injection key
 
-	// MaxShards bounds a group's size so injection keys (shard index shifted
-	// into the top bits) stay below the barrier range.
+	// MaxShards bounds a group's size so a shard index fits its 14-bit
+	// field of the injection key, below the top bit that marks the range.
 	MaxShards = 1 << 14
 )
 

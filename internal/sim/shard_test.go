@@ -17,10 +17,10 @@ func TestShardGroupSerialIdentity(t *testing.T) {
 			draws = append(draws, e.Rand().Int63())
 			n++
 			if n < 1000 {
-				e.After(Microsecond, tick)
+				e.Do(e.Now()+Microsecond, tick)
 			}
 		}
-		e.After(0, tick)
+		e.Do(e.Now(), tick)
 		events = run(e, 10*Millisecond)
 		return events, draws, e.Now()
 	}
@@ -37,10 +37,10 @@ func TestShardGroupSerialIdentity(t *testing.T) {
 			draws = append(draws, e.Rand().Int63())
 			n++
 			if n < 1000 {
-				e.After(Microsecond, tick)
+				e.Do(e.Now()+Microsecond, tick)
 			}
 		}
-		e.After(0, tick)
+		e.Do(e.Now(), tick)
 		ev := g.Run(10 * Millisecond)
 		return ev, draws, e.Now()
 	}()
@@ -134,31 +134,6 @@ func TestShardInjectionOrdering(t *testing.T) {
 
 	got := strings.Join(order, ",")
 	if got != "local,s1a,s1b,s2a,s2b" {
-		t.Fatalf("order = %s", got)
-	}
-}
-
-// TestShardDoLastBarrier: DoLast fires after every ordinary event and every
-// cross-shard injection at its instant, and barriers at one instant keep
-// their creation order.
-func TestShardDoLastBarrier(t *testing.T) {
-	const la = Millisecond
-	g := NewShardGroup(2, 1)
-	p10 := g.Connect(1, 0, la)
-
-	var order []string
-	g.Engine(1).Do(0, func() {
-		p10.Send(la, func(any) { order = append(order, "inject") }, nil)
-	})
-	e0 := g.Engine(0)
-	e0.DoLast(la, func() { order = append(order, "barrier1") })
-	e0.DoLast(la, func() { order = append(order, "barrier2") })
-	e0.Do(la, func() { order = append(order, "local") })
-
-	g.Run(10 * Millisecond)
-
-	got := strings.Join(order, ",")
-	if got != "local,inject,barrier1,barrier2" {
 		t.Fatalf("order = %s", got)
 	}
 }

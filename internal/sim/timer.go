@@ -1,15 +1,16 @@
 package sim
 
-// Timer is a persistent, rearmable scheduled callback — the handle type for
-// event sources that fire many times over a run (TCP retransmission timers,
-// link transmit completions, periodic samplers). Unlike
-// the one-shot Event returned by At, a Timer is allocated once and then
-// rearmed with Reset for the lifetime of its owner.
+// Timer is a persistent, rearmable scheduled callback and the engine's only
+// cancelable handle. Event sources that fire many times over a run (TCP
+// retransmission timers, link transmit completions, periodic samplers)
+// allocate one and rearm it with Reset for the lifetime of their owner; a
+// one-shot callback that may need canceling (a link's scheduled change) is a
+// Timer armed once.
 //
 // Every Reset stamps the timer with a fresh engine sequence number, drawn
-// from the same counter At uses, and the timer fires under exactly that
-// (when, seq) key — so a Reset tie-breaks against same-instant events like
-// the cancel-and-reschedule pattern it replaces, and timers cannot perturb
+// from the same counter Do and Post use, and the timer fires under exactly
+// that (when, seq) key — so a Reset tie-breaks against same-instant events
+// like a one-shot scheduled at that point would, and timers cannot perturb
 // deterministic event order.
 //
 // What Reset does not do is push a heap key per call. A timer has at most
@@ -44,7 +45,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire at absolute virtual time at, replacing
-// any pending deadline. Resetting to the past panics, like At.
+// any pending deadline. Resetting to the past panics, like Do.
 func (t *Timer) Reset(at Time) {
 	e := t.engine
 	e.checkFuture(at)

@@ -49,19 +49,19 @@ func runExperiment(b *testing.B, id string) {
 
 // --- One benchmark per paper table/figure (E1..E13 in DESIGN.md) ---
 
-func BenchmarkFig2(b *testing.B)   { runExperiment(b, "fig2") }
-func BenchmarkFig3(b *testing.B)   { runExperiment(b, "fig3") }
-func BenchmarkFig4(b *testing.B)   { runExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)   { runExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { runExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { runExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { runExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkFig11(b *testing.B)  { runExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { runExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { runExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { runExperiment(b, "fig14") }
+// BenchmarkSection2 simulates the six Section 2 traces and extracts
+// Figures 2-4 and the ext-threshold sweep from them.
+func BenchmarkSection2(b *testing.B) { runExperiment(b, "section2") }
+func BenchmarkFig5(b *testing.B)     { runExperiment(b, "fig5") }
+func BenchmarkFig6(b *testing.B)     { runExperiment(b, "fig6") }
+func BenchmarkFig7(b *testing.B)     { runExperiment(b, "fig7") }
+func BenchmarkFig8(b *testing.B)     { runExperiment(b, "fig8") }
+func BenchmarkFig9(b *testing.B)     { runExperiment(b, "fig9") }
+func BenchmarkTable1(b *testing.B)   { runExperiment(b, "table1") }
+func BenchmarkFig11(b *testing.B)    { runExperiment(b, "fig11") }
+func BenchmarkFig12(b *testing.B)    { runExperiment(b, "fig12") }
+func BenchmarkFig13(b *testing.B)    { runExperiment(b, "fig13") }
+func BenchmarkFig14(b *testing.B)    { runExperiment(b, "fig14") }
 
 // Extension experiments (beyond the paper; see EXPERIMENTS.md).
 
@@ -72,7 +72,6 @@ func BenchmarkExtDelayCC(b *testing.B)    { runExperiment(b, "ext-delaycc") }
 func BenchmarkExtHighSpeed(b *testing.B)  { runExperiment(b, "ext-highspeed") }
 func BenchmarkExtCoexist(b *testing.B)    { runExperiment(b, "ext-coexist") }
 func BenchmarkExtFCT(b *testing.B)        { runExperiment(b, "ext-fct") }
-func BenchmarkExtThreshold(b *testing.B)  { runExperiment(b, "ext-threshold") }
 func BenchmarkExtStability(b *testing.B)  { runExperiment(b, "ext-stability") }
 func BenchmarkExtReplicated(b *testing.B) { runExperiment(b, "ext-replicated") }
 

@@ -35,9 +35,9 @@ func TestGoldenQuickTables(t *testing.T) {
 	// traffic), ext-aqm (AQM disciplines at the bottleneck), ext-coexist
 	// (multi-CC sharing), ext-delaycc (delay-based controllers), ext-fct (flow
 	// completion times), fig11 (the parking lot, pinning a table produced
-	// entirely through the scenario compiler). The Section 2 figures are
-	// deliberately absent: they share one memoized trace study whose first
-	// computation costs ~30s, which `make results` already covers.
+	// entirely through the scenario compiler). section2 is deliberately
+	// absent: its six traces cost ~30 s of CPU, and `make results-check`
+	// already covers it.
 	for _, id := range []string{"fig13", "ext-aqm", "ext-coexist", "ext-delaycc", "ext-fct", "fig11"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

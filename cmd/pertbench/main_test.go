@@ -27,7 +27,7 @@ func TestListIDs(t *testing.T) {
 	if len(ids) < 15 {
 		t.Fatalf("only %d experiments listed", len(ids))
 	}
-	for _, want := range []string{"fig2", "fig13", "table1", "ext-aqm"} {
+	for _, want := range []string{"section2", "fig13", "table1", "ext-aqm"} {
 		found := false
 		for _, id := range ids {
 			if id == want {

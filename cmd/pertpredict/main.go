@@ -61,9 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		// CollectTrace compiles these into a scenario and panics on one that
-		// cannot run.
-		if *dur <= 0 || *flows < 1 || *web < 0 {
-			fmt.Fprintln(stderr, "pertpredict: need -dur > 0, -flows >= 1 and -web >= 0")
+		// cannot run; a trace no longer than the warm-up holds no samples.
+		if sim.Time(*dur) <= warm || *flows < 1 || *web < 0 {
+			fmt.Fprintf(stderr, "pertpredict: need -dur > the %v warm-up, -flows >= 1 and -web >= 0\n", time.Duration(warm))
 			return 2
 		}
 		c := experiments.Section2Case{Name: "custom", LongFlows: *flows, Web: *web}

@@ -45,7 +45,10 @@ func TestErrorPaths(t *testing.T) {
 	if code := run([]string{"-zzz"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exit = %d", code)
 	}
-	for _, args := range [][]string{{"-dur", "0s"}, {"-flows", "0"}, {"-web", "-1"}} {
+	// -dur at or below the warm-up (10 s quick, 20 s paper) collects no
+	// samples, so it is rejected rather than reported as all zeros.
+	for _, args := range [][]string{{"-dur", "0s"}, {"-flows", "0"}, {"-web", "-1"},
+		{"-flows", "2", "-web", "1", "-dur", "10s"}, {"-scale", "paper", "-dur", "20s"}} {
 		if code := run(args, &out, &errb); code != 2 {
 			t.Fatalf("%v exit = %d", args, code)
 		}

@@ -10,9 +10,9 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	// Every evaluation artifact in the paper must be registered.
-	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+	want := []string{"section2", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig11", "fig12", "fig13", "fig14", "table1",
-		"ext-aqm", "ext-validation", "ext-jitter", "ext-delaycc", "ext-highspeed", "ext-hybrid", "ext-coexist", "ext-fct", "ext-threshold", "ext-stability", "ext-replicated",
+		"ext-aqm", "ext-validation", "ext-jitter", "ext-delaycc", "ext-highspeed", "ext-hybrid", "ext-coexist", "ext-fct", "ext-stability", "ext-replicated",
 		"ext-lossy", "ext-flap", "ext-parkinglot-xl"}
 	for _, id := range want {
 		exp, ok := ByID(id)
@@ -33,7 +33,7 @@ func TestIDsOrdered(t *testing.T) {
 	if len(ids) != len(Experiments) {
 		t.Fatalf("IDs() returned %d of %d", len(ids), len(Experiments))
 	}
-	if ids[0] != "fig2" || ids[len(ids)-1] != "table1" {
+	if ids[0] != "section2" || ids[len(ids)-1] != "table1" {
 		t.Fatalf("ordering: %v", ids)
 	}
 	// fig11 must come after fig9 (numeric, not lexicographic).

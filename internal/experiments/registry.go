@@ -3,15 +3,16 @@ package experiments
 import "context"
 
 // Runner produces the tables for one paper figure or table at a scale. Most
-// experiments yield one table; Fig12 yields one per scheme. Runners observe
-// ctx between scenario launches and return an error instead of panicking on
-// bad specs or cancellation.
+// experiments yield one table; Fig12 yields one per scheme and section2 one
+// per analysis of its shared traces. Runners observe ctx between scenario
+// launches and return an error instead of panicking on bad specs or
+// cancellation.
 type Runner func(ctx context.Context, scale Scale) ([]*Table, error)
 
 // Experiment describes one registered evaluation artifact: a stable ID
-// (fig2..fig14, table1, ext-*), a human title, the scales it supports, and
-// its runner. The ordered Experiments slice is the registry the harness and
-// CLIs iterate.
+// (section2, fig5..fig14, table1, ext-*), a human title, the scales it
+// supports, and its runner. The ordered Experiments slice is the registry the
+// harness and CLIs iterate.
 type Experiment struct {
 	ID     string
 	Title  string
@@ -36,12 +37,11 @@ func one(f func(context.Context, Scale) (*Table, error)) Runner {
 
 // Experiments is the ordered registry of every reproduced figure/table plus
 // the extension experiments documented in EXPERIMENTS.md. The order is the
-// presentation order: paper figures numerically, extensions alphabetically,
-// table1 last (matching the committed results files).
+// presentation order: Section 2 first, then paper figures numerically,
+// extensions alphabetically, table1 last (matching the committed results
+// files).
 var Experiments = []Experiment{
-	{ID: "fig2", Title: "High-RTT to loss transition fractions (flow vs queue losses)", Scales: allScales, Run: one(Fig2)},
-	{ID: "fig3", Title: "Predictor comparison vs queue-level losses", Scales: allScales, Run: one(Fig3)},
-	{ID: "fig4", Title: "PDF of queue length at false positives", Scales: allScales, Run: one(Fig4)},
+	{ID: "section2", Title: "Section 2 congestion prediction (Figs. 2-4, detection-margin sweep)", Scales: allScales, Run: runSection2},
 	{ID: "fig5", Title: "PERT probabilistic response curve", Scales: allScales, Run: one(Fig5)},
 	{ID: "fig6", Title: "Impact of bottleneck link bandwidth", Scales: allScales, Run: sweepFig("fig6")},
 	{ID: "fig7", Title: "Impact of round trip delays", Scales: allScales, Run: sweepFig("fig7")},
@@ -63,7 +63,6 @@ var Experiments = []Experiment{
 	{ID: "ext-parkinglot-xl", Title: "Extension: 8-bottleneck parking lot on the sharded engine", Scales: allScales, Run: one(ExtParkingLotXL)},
 	{ID: "ext-replicated", Title: "Extension: seed sensitivity with confidence intervals", Scales: allScales, Run: one(ExtReplicated)},
 	{ID: "ext-stability", Title: "Extension: certified stability boundaries, PERT vs RED", Scales: allScales, Run: one(ExtStability)},
-	{ID: "ext-threshold", Title: "Extension: detection-margin sweep", Scales: allScales, Run: one(ExtThreshold)},
 	{ID: "ext-validation", Title: "Extension: packet simulation vs fluid equilibrium", Scales: allScales, Run: one(ExtValidation)},
 	{ID: "table1", Title: "Flows with different RTTs", Scales: allScales, Run: one(Table1)},
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pert/internal/core"
 	"pert/internal/netem"
@@ -40,39 +39,27 @@ func Section2Cases(scale Scale) (cases []Section2Case, bandwidth float64, buffer
 	}, 50e6, 375, seconds(150), seconds(10)
 }
 
-// traceCache memoizes Section 2 traces so Figures 2, 3 and 4 share one
-// simulation per case instead of re-running it. Guarded by traceMu: the
-// harness worker pool may run section 2 figures concurrently with other
-// experiments' sweeps.
-var (
-	traceMu    sync.Mutex
-	traceCache = map[string]*predictors.Trace{}
-)
-
-func section2Trace(c Section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
-	key := fmt.Sprintf("%s-%d-%g-%d-%d", c.Name, seed, bandwidth, buffer, dur)
-	traceMu.Lock()
-	tr, ok := traceCache[key]
-	traceMu.Unlock()
-	if ok {
-		return tr
+// runSection2 is the paper's Section 2 study: the six trace-collection
+// cases are simulated once, in parallel, and Figures 2, 3 and 4 and the
+// ext-threshold margin sweep are extracted from the same traces.
+func runSection2(ctx context.Context, scale Scale) ([]*Table, error) {
+	if err := checkRun(ctx, scale); err != nil {
+		return nil, err
 	}
-	tr = section2Run(c, seed, bandwidth, buffer, dur, warm)
-	traceMu.Lock()
-	traceCache[key] = tr
-	traceMu.Unlock()
-	return tr
+	cases, bw, buf, dur, warm := Section2Cases(scale)
+	traces := make([]*predictors.Trace, len(cases))
+	if err := forEach(ctx, len(cases), func(i int) {
+		traces[i] = CollectTrace(cases[i], 100+int64(i), bw, buf, dur, warm)
+	}); err != nil {
+		return nil, err
+	}
+	return []*Table{fig2(cases, traces), fig3(buf, traces), fig4(traces), extThreshold(traces)}, nil
 }
 
-// CollectTrace runs one Section 2 trace-collection case and returns the
-// tagged flow's trace (exported for cmd/pertpredict and custom studies).
+// CollectTrace simulates one case on the Section 2.2 topology with standard
+// TCP everywhere and a tagged 60 ms flow, and returns the tagged flow's
+// trace (also the entry point of cmd/pertpredict and custom studies).
 func CollectTrace(c Section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
-	return section2Run(c, seed, bandwidth, buffer, dur, warm)
-}
-
-// section2Run simulates one case on the Section 2.2 topology with standard
-// TCP everywhere, a tagged 60 ms flow, and returns the collected trace.
-func section2Run(c Section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
 	sack := string(SackDroptail)
 	// The tagged flow is group 0: alone on the first host pair (whose RTT is
 	// 60 ms as in the paper), started at t=0 with no window, so it keeps flow
@@ -131,24 +118,46 @@ func section2Run(c Section2Case, seed int64, bandwidth float64, buffer int, dur,
 // the scale of the tagged flow's RTT.
 const lossCoalesceGap = 60 * sim.Millisecond
 
-// Fig2 reproduces "fraction of transitions from high-RTT to loss when losses
+// signal is one of the per-ACK RTT signals the threshold predictors read: a
+// name and a fresh smoother per evaluation (smoothers are stateful; nil is
+// the instantaneous RTT).
+type signal struct {
+	name     string
+	smoother func() predictors.Smoother
+}
+
+var (
+	instRTT = signal{"inst-rtt", func() predictors.Smoother { return nil }}
+	ewma875 = signal{"ewma-0.875", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.875}} }}
+	ewma99  = signal{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.99}} }}
+)
+
+// meanVsQueueLosses evaluates a fresh predictor from mk on every trace
+// against its coalesced queue-level losses and returns the mean efficiency,
+// false-positive and false-negative fractions as table cells.
+func meanVsQueueLosses(traces []*predictors.Trace, mk func() predictors.Predictor) []string {
+	var e, fp, fn float64
+	for _, tr := range traces {
+		res := predictors.Evaluate(mk(), tr, predictors.CoalesceLosses(tr.QueueLosses, lossCoalesceGap))
+		e += res.Efficiency()
+		fp += res.FalsePositives()
+		fn += res.FalseNegatives()
+	}
+	n := float64(len(traces))
+	return []string{f3(e / n), f3(fp / n), f3(fn / n)}
+}
+
+// fig2 reproduces "fraction of transitions from high-RTT to loss when losses
 // are measured within a flow vs at the bottleneck queue": the fixed 65 ms
 // threshold predictor evaluated against both loss series.
-func Fig2(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	cases, bw, buf, dur, warm := Section2Cases(scale)
+func fig2(cases []Section2Case, traces []*predictors.Trace) *Table {
 	t := &Table{
 		ID:     "fig2",
 		Title:  "High-RTT -> loss transition fraction: flow-level vs queue-level losses (65 ms threshold)",
 		Header: []string{"case", "long_flows", "web", "frac_flow_losses", "frac_queue_losses", "samples"},
 	}
 	for i, c := range cases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tr := section2Trace(c, 100+int64(i), bw, buf, dur, warm)
+		tr := traces[i]
 		// The paper's 65 ms threshold is its tagged flow's propagation
 		// delay (60 ms) plus 5 ms; we apply the same P+5ms rule with P
 		// estimated as the flow's minimum observed RTT, which also absorbs
@@ -162,79 +171,41 @@ func Fig2(ctx context.Context, scale Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "threshold = P+5ms (the paper's 65 ms for its 60 ms path)",
 		"paper finding: queue-level fraction is significantly higher than flow-level")
-	return t, nil
+	return t
 }
 
-// Fig3 reproduces "prediction efficiency, false positives and false
+// fig3 reproduces "prediction efficiency, false positives and false
 // negatives for different predictors", evaluated against queue-level losses
 // and averaged over the six cases.
-func Fig3(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	cases, bw, buf, dur, warm := Section2Cases(scale)
+func fig3(buf int, traces []*predictors.Trace) *Table {
 	t := &Table{
 		ID:     "fig3",
 		Title:  "Predictor comparison vs queue-level losses (mean over the six cases)",
 		Header: []string{"predictor", "efficiency", "false_pos", "false_neg"},
 	}
-	traces := make([]*predictors.Trace, len(cases))
-	for i, c := range cases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		traces[i] = section2Trace(c, 100+int64(i), bw, buf, dur, warm)
-	}
-	// Fresh predictor instances per trace: they are stateful.
-	names := []string{}
-	for _, p := range predictors.Suite(ms(5), buf) {
-		names = append(names, p.Name())
-	}
-	for idx, name := range names {
-		var e, fp, fn float64
-		for _, tr := range traces {
-			p := predictors.Suite(ms(5), buf)[idx]
-			res := predictors.Evaluate(p, tr, predictors.CoalesceLosses(tr.QueueLosses, lossCoalesceGap))
-			e += res.Efficiency()
-			fp += res.FalsePositives()
-			fn += res.FalseNegatives()
-		}
-		n := float64(len(traces))
-		t.AddRow(name, f3(e/n), f3(fp/n), f3(fn/n))
+	for idx, p := range predictors.Suite(ms(5), buf) {
+		// Fresh predictor instances per trace: they are stateful.
+		mk := func() predictors.Predictor { return predictors.Suite(ms(5), buf)[idx] }
+		t.AddRow(append([]string{p.Name()}, meanVsQueueLosses(traces, mk)...)...)
 	}
 	t.Notes = append(t.Notes, "paper finding: ewma-0.99 achieves high efficiency with low FP and FN; Vegas best among prior schemes")
-	return t, nil
+	return t
 }
 
-// Fig4 reproduces the "probability distribution of normalized queue length
+// fig4 reproduces the "probability distribution of normalized queue length
 // when false positives occur": for each signal in the per-ACK family
 // (instantaneous, EWMA 7/8, EWMA 0.99) the bottleneck queue occupancy at
 // every false-positive instant is histogrammed. The heavier the smoothing,
 // the fewer false positives exist at all (the paper measured only 0.7-1.5%
 // for srtt_0.99; at reduced scale this rounds to zero events), so the
 // distribution is reported across the family.
-func Fig4(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	cases, bw, buf, dur, warm := Section2Cases(scale)
-	signals := []struct {
-		name     string
-		smoother func() predictors.Smoother
-	}{
-		{"inst-rtt", func() predictors.Smoother { return nil }},
-		{"ewma-0.875", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.875}} }},
-		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.99}} }},
-	}
+func fig4(traces []*predictors.Trace) *Table {
+	signals := []signal{instRTT, ewma875, ewma99}
 	hists := make([]*stats.Histogram, len(signals))
 	for i := range hists {
 		hists[i] = stats.NewHistogram(1, 10)
 	}
-	for i, c := range cases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tr := section2Trace(c, 100+int64(i), bw, buf, dur, warm)
+	for _, tr := range traces {
 		losses := predictors.CoalesceLosses(tr.QueueLosses, lossCoalesceGap)
 		for si, sig := range signals {
 			p := predictors.NewRelativeThreshold(sig.name, ms(5), sig.smoother())
@@ -263,50 +234,26 @@ func Fig4(ctx context.Context, scale Scale) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s false positives observed: %d", sig.name, hists[si].Total()))
 	}
 	t.Notes = append(t.Notes, "paper finding: false positives concentrate at low queue occupancy (< 50%)")
-	return t, nil
+	return t
 }
 
-// ExtThreshold sweeps the detection margin of the per-ACK signal family over
+// extThreshold sweeps the detection margin of the per-ACK signal family over
 // the Section 2 traces, charting the aggressiveness tradeoff Figure 1's
 // state machine frames: small margins predict early but cry wolf (transition
 // 5), large margins miss losses entirely (transition 4). This is the
 // operating-point analysis behind the paper's choice of P+5 ms.
-func ExtThreshold(ctx context.Context, scale Scale) (*Table, error) {
-	if err := checkRun(ctx, scale); err != nil {
-		return nil, err
-	}
-	cases, bw, buf, dur, warm := Section2Cases(scale)
+func extThreshold(traces []*predictors.Trace) *Table {
 	t := &Table{
 		ID:     "ext-threshold",
 		Title:  "Extension: detection-margin sweep for the per-ACK signal family (mean over six cases)",
 		Header: []string{"margin_ms", "signal", "efficiency", "false_pos", "false_neg"},
 	}
-	traces := make([]*predictors.Trace, len(cases))
-	for i, c := range cases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		traces[i] = section2Trace(c, 100+int64(i), bw, buf, dur, warm)
-	}
-	signals := []struct {
-		name     string
-		smoother func() predictors.Smoother
-	}{
-		{"inst-rtt", func() predictors.Smoother { return nil }},
-		{"ewma-0.99", func() predictors.Smoother { return &predictors.EWMASmoother{EWMA: core.EWMA{W: 0.99}} }},
-	}
 	for _, marginMs := range []float64{1, 2, 5, 10, 20} {
-		for _, sig := range signals {
-			var e, fp, fn float64
-			for _, tr := range traces {
-				p := predictors.NewRelativeThreshold(sig.name, ms(marginMs), sig.smoother())
-				res := predictors.Evaluate(p, tr, predictors.CoalesceLosses(tr.QueueLosses, lossCoalesceGap))
-				e += res.Efficiency()
-				fp += res.FalsePositives()
-				fn += res.FalseNegatives()
+		for _, sig := range []signal{instRTT, ewma99} {
+			mk := func() predictors.Predictor {
+				return predictors.NewRelativeThreshold(sig.name, ms(marginMs), sig.smoother())
 			}
-			n := float64(len(traces))
-			t.AddRow(fmt.Sprintf("%g", marginMs), sig.name, f3(e/n), f3(fp/n), f3(fn/n))
+			t.AddRow(append([]string{fmt.Sprintf("%g", marginMs), sig.name}, meanVsQueueLosses(traces, mk)...)...)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -314,7 +261,7 @@ func ExtThreshold(ctx context.Context, scale Scale) (*Table, error) {
 		"pushing the margin past the typical queue excursion both raises false positives",
 		"(episodes that peak below the margin end unconfirmed) and explodes false negatives",
 		"the smoothed signal dominates the instantaneous one at every operating point (Fig. 3's finding)")
-	return t, nil
+	return t
 }
 
 // Fig5 tabulates the PERT response curve (an analytic figure in the paper;

@@ -44,9 +44,7 @@ const (
 // shardDiffExpectations must cover every registry ID — the exhaustiveness
 // test below fails when an experiment is added without classifying it.
 var shardDiffExpectations = map[string]shardDiffClass{
-	"fig2":              byteIdentical, // Section 2 loss study; spec never sets shards
-	"fig3":              byteIdentical, // predictor comparison; spec never sets shards
-	"fig4":              byteIdentical, // false-positive PDF; spec never sets shards
+	"section2":          byteIdentical, // Section 2 traces; spec never sets shards
 	"fig5":              byteIdentical, // analytic response curve
 	"fig6":              deterministicPerN,
 	"fig7":              deterministicPerN,
@@ -68,7 +66,6 @@ var shardDiffExpectations = map[string]shardDiffClass{
 	"ext-parkinglot-xl": deterministicPerN, // scenario path, shards by default
 	"ext-replicated":    deterministicPerN,
 	"ext-stability":     byteIdentical, // certified boundaries, no packet engine
-	"ext-threshold":     byteIdentical, // Section 2 traces; spec never sets shards
 	"ext-validation":    byteIdentical, // spec never sets shards
 	"table1":            deterministicPerN,
 }

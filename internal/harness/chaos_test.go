@@ -17,6 +17,7 @@ import (
 
 	"pert/internal/cache"
 	"pert/internal/experiments"
+	"pert/internal/sim"
 )
 
 // TestMain makes the test binary triple-duty: a normal test runner, an
@@ -32,10 +33,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// chaosCells is the deterministic three-cell sweep the chaos suite runs:
-// pure-Go LCG work with small sleeps, so every cell takes tens of
-// milliseconds (a wide window for the killer) and produces byte-identical
-// tables on every execution in any process.
+// chaosCells is the deterministic three-cell sweep the chaos suite runs: an
+// LCG stepped on a private engine with small sleeps, so every cell takes
+// tens of milliseconds (a wide window for the killer) and produces
+// byte-identical tables on every execution in any process.
 func chaosCells() []experiments.Experiment {
 	return []experiments.Experiment{
 		chaosCell("chaos-a", 17),
@@ -50,9 +51,13 @@ func chaosCell(id string, iters int) experiments.Experiment {
 		Title: "chaos harness cell",
 		Run: func(ctx context.Context, _ experiments.Scale) ([]*experiments.Table, error) {
 			maybeCrashCell(id)
+			// Each LCG step is one event on a private engine, so a sweep
+			// of these cells has simulated events to account for.
+			eng := sim.NewEngine(0)
 			v := uint64(len(id))
 			for i := 0; i < iters; i++ {
-				v = v*6364136223846793005 + 1442695040888963407
+				eng.Do(eng.Now(), func() { v = v*6364136223846793005 + 1442695040888963407 })
+				eng.Run(eng.Now())
 				time.Sleep(2 * time.Millisecond)
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -429,6 +434,11 @@ func TestIsolatedSweepMatchesInProcess(t *testing.T) {
 		if r.Attempts != 1 {
 			t.Fatalf("isolated run %s attempts = %d, want 1", r.ID, r.Attempts)
 		}
+	}
+	// The sweep's event count is the sum of its runs', wherever they ran.
+	if inproc.SimEvents == 0 || isolated.SimEvents != inproc.SimEvents {
+		t.Fatalf("sweep sim_events: in-process %d, isolated %d; want equal and above 0",
+			inproc.SimEvents, isolated.SimEvents)
 	}
 	normalizeReport(inproc)
 	normalizeReport(isolated)

@@ -70,7 +70,7 @@ func (b *Builder) ScaleFlag() {
 
 // ExpFlag opts into -exp (registry experiment selection).
 func (b *Builder) ExpFlag() {
-	b.exp = b.fs.String("exp", "all", "comma-separated experiment IDs (fig2..fig14, table1, ext-*) or 'all'")
+	b.exp = b.fs.String("exp", "all", "comma-separated experiment IDs (section2, fig5..fig14, table1, ext-*) or 'all'")
 }
 
 // MetricsDirFlag opts into the directory form of -metrics (per-cell series

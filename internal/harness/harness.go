@@ -95,7 +95,7 @@ func RunExperiments(ctx context.Context, exps []experiments.Experiment, spec Run
 	var doneWall time.Duration
 	for i, exp := range exps {
 		if err := ctx.Err(); err != nil {
-			finish(rep, start, ev0, m0)
+			finish(rep, start, spec.Isolate, ev0, m0)
 			return rep, err
 		}
 		rec := runCellAttempts(ctx, exp, spec, store, sink, i, len(exps), doneWall)
@@ -110,15 +110,26 @@ func RunExperiments(ctx context.Context, exps []experiments.Experiment, spec Run
 		doneWall += time.Duration(rec.WallSeconds * float64(time.Second))
 		rep.Runs = append(rep.Runs, rec)
 	}
-	finish(rep, start, ev0, m0)
+	finish(rep, start, spec.Isolate, ev0, m0)
 	return rep, nil
 }
 
-// finish fills the report's sweep-wide timing and allocation fields.
-func finish(rep *Report, start time.Time, ev0, m0 uint64) {
+// finish fills the report's sweep-wide timing and allocation fields. The
+// sweep's events are this process's engine counter over the sweep, so a
+// replayed cell that simulates still shows; under isolate the parent
+// simulates nothing itself and the workers' runs that were not replayed
+// are added, so the count matches an in-process sweep.
+func finish(rep *Report, start time.Time, isolate bool, ev0, m0 uint64) {
 	ev1, _ := sim.Counters()
 	rep.WallSeconds = time.Since(start).Seconds()
 	rep.SimEvents = ev1 - ev0
+	if isolate {
+		for _, r := range rep.Runs {
+			if !r.Cached {
+				rep.SimEvents += r.SimEvents
+			}
+		}
+	}
 	if rep.WallSeconds > 0 {
 		rep.EventsPerSecond = float64(rep.SimEvents) / rep.WallSeconds
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"pert/internal/experiments"
@@ -79,7 +80,9 @@ type RunRecord struct {
 }
 
 // Report aggregates a whole sweep. It serializes to the stable JSON schema
-// documented in EXPERIMENTS.md ("JSON output").
+// documented in EXPERIMENTS.md ("JSON output"). Its top-level Mallocs counts
+// the parent process only: under Isolate the workers' allocations are not
+// in it.
 type Report struct {
 	SchemaVersion int       `json:"schema_version"`
 	Version       string    `json:"version"` // build VCS revision, or "unknown"
@@ -87,7 +90,9 @@ type Report struct {
 	Workers       int       `json:"workers"`
 	StartedAt     time.Time `json:"started_at"`
 	// WallSeconds, SimEvents, EventsPerSecond, Mallocs and AllocsPerEvent
-	// cover the whole sweep (same caveats as the per-run fields).
+	// cover the whole sweep (same caveats as the per-run fields). SimEvents
+	// counts what this process simulated during the sweep, plus, under
+	// Isolate, the workers' runs that were not replayed.
 	WallSeconds     float64 `json:"wall_seconds"`
 	SimEvents       uint64  `json:"sim_events"`
 	EventsPerSecond float64 `json:"events_per_second"`
@@ -125,8 +130,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 
 // Version reports the build's VCS revision (shortened, "-dirty" suffixed
 // when the tree was modified), the module version for released builds, or
-// "unknown". It never shells out to git.
-func Version() string {
+// "unknown". It never shells out to git, and reads the build info once per
+// process.
+var Version = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"
@@ -154,4 +160,4 @@ func Version() string {
 		rev += "-dirty"
 	}
 	return rev
-}
+})

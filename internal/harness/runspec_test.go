@@ -21,9 +21,7 @@ const goldenCodeVersion = "test"
 // change was accidental — never silently update a digest without knowing
 // which.
 var goldenCellKeys = map[string]string{
-	"fig2":              "c48a76caf0687419d047fd628a1042e0373b6a419ade360474f26175efd316f7",
-	"fig3":              "d85e61078fa6283016b161c2575d88e51317eac43c63ebe57378fd61564f9dad",
-	"fig4":              "414d6422a3b2816385c3e585fbf0424b7b7d203130573f123bbbc7c28d8a2cb1",
+	"section2":          "43944f84cc3a9fd51405afb3f9f49c844fa8c658bc3ca9a565919962f2e55b21",
 	"fig5":              "923b7ef2da3905ffd1d6879ffecca76b855dc6b77fc2bfc1ec880db5bd7693b2",
 	"fig6":              "951f7f7d6b9ef5d308b89329fd6f1bd952778cee67e798d1fc3ac2100985d067",
 	"fig7":              "fb912b57bc6b72c0b55d2bf072c67090ac46c10da8a860217423a0ce31bd6f74",
@@ -45,7 +43,6 @@ var goldenCellKeys = map[string]string{
 	"ext-parkinglot-xl": "ac295134ee23ee5fd55f2b26ae1c0ac840618fd810cf2dd42f9fa528a333337a",
 	"ext-replicated":    "33ab693d378f5579005cc92708626dcb3169ee0f4cdaeb0cf50eb439a1683959",
 	"ext-stability":     "23c086c3d7c904218b3f080b21d53c19506df66196b791a8834737c69bf2e0d4",
-	"ext-threshold":     "f89d51cb3fad5c8a8b38d3fc1d9d3307f2da39e656c835e76c70a504d43de0be",
 	"ext-validation":    "1bfea074012168569a1a912ecb21981d47715455c259b44a5e822285ed0fedce",
 	"table1":            "705213a2cb6dc5415f866f1c96a2268cafa7958fd469b4d67190433e31dd815a",
 }

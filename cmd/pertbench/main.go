@@ -3,20 +3,21 @@
 //
 // Usage:
 //
-//	pertbench [-scale quick|paper] [-exp fig6,fig7,...|all] [-format text|json|csv]
-//	          [-json] [-progress] [-parallel N] [-timeout D] [-stall-window D]
-//	          [-cache-dir DIR] [-cache MODE] [-cache-fsck] [-isolate]
-//	          [-retries N] [-retry-backoff D] [-cpuprofile FILE] [-memprofile FILE]
+//	pertbench [-scale quick|paper] [-exp fig6,fig7,...|all] [-format text|csv]
+//	          [-json] [-progress] [-parallel N] [-shards N] [-timeout D]
+//	          [-stall-window D] [-cache-dir DIR] [-cache-fsck] [-isolate]
+//	          [-retries N] [-metrics DIR] [-metrics-interval D]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Quick scale (default) shrinks bandwidth and duration while preserving the
 // dimensionless shape of each experiment; paper scale runs the publication's
 // exact parameters (much slower).
 //
 // -json emits one machine-readable report for the whole sweep (schema in
-// EXPERIMENTS.md): per-run wall time, sim-event throughput, all tables, and
-// error entries for runs that failed — a failing experiment does not stop
-// the others. -progress streams per-run progress lines to stderr. Ctrl-C
-// cancels the sweep between scenarios.
+// EXPERIMENTS.md): per-run wall time, sim-event throughput, all tables (in
+// runs[].tables), and error entries for runs that failed — a failing
+// experiment does not stop the others. -progress streams per-run progress
+// lines to stderr. Ctrl-C cancels the sweep between scenarios.
 //
 // -cache-dir points the sweep at a content-addressed result cache: cells
 // already committed there replay without simulating (marked "cached" in the
@@ -58,7 +59,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	shared.ScaleFlag()
 	shared.ExpFlag()
 	shared.MetricsDirFlag()
-	format := fs.String("format", "text", "output format: text, json, or csv")
+	format := fs.String("format", "text", "table format: text or csv (the -json report carries the tables as JSON)")
 	jsonReport := fs.Bool("json", false, "emit a single JSON report for the whole sweep (overrides -format)")
 	progress := fs.Bool("progress", false, "stream per-run progress lines to stderr")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
@@ -88,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch *format {
-	case "text", "json", "csv":
+	case "text", "csv":
 	default:
 		fmt.Fprintf(stderr, "pertbench: unknown format %q\n", *format)
 		return 2
@@ -110,7 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *progress {
 		spec.Sink = harness.NewWriterSink(stderr)
-		spec.ProgressInterval = time.Second
 	}
 	rep, runErr := harness.Run(ctx, spec)
 	if runErr != nil && shared.CacheRequested() {
@@ -143,15 +143,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		for _, table := range rec.Tables {
-			switch *format {
-			case "json":
-				if err := table.FprintJSON(stdout); err != nil {
-					fmt.Fprintf(stderr, "pertbench: %v\n", err)
-					return 1
-				}
-			case "csv":
+			if *format == "csv" {
 				table.FprintCSV(stdout)
-			case "text":
+			} else {
 				table.Fprint(stdout)
 			}
 		}

@@ -51,28 +51,35 @@ func TestFig5Text(t *testing.T) {
 	}
 }
 
+// TestFig13JSON: the -json report carries each run's tables in the stable
+// table schema.
 func TestFig13JSON(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(context.Background(), []string{"-exp", "fig13", "-format", "json"}, &out, &errb); code != 0 {
+	if code := run(context.Background(), []string{"-exp", "fig13", "-json"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	dec := json.NewDecoder(strings.NewReader(out.String()))
-	var tables int
-	for dec.More() {
-		var v struct {
-			ID   string
-			Rows [][]string
-		}
-		if err := dec.Decode(&v); err != nil {
-			t.Fatal(err)
-		}
+	var rep struct {
+		Runs []struct {
+			Tables []struct {
+				ID   string     `json:"id"`
+				Rows [][]string `json:"rows"`
+			} `json:"tables"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("invalid report JSON: %v\n%s", err, out.String())
+	}
+	if len(rep.Runs) != 1 {
+		t.Fatalf("runs = %d", len(rep.Runs))
+	}
+	tables := rep.Runs[0].Tables
+	if len(tables) != 2 { // fig13a + fig13bcd
+		t.Fatalf("tables = %d", len(tables))
+	}
+	for _, v := range tables {
 		if v.ID == "" || len(v.Rows) == 0 {
 			t.Fatalf("empty table: %+v", v)
 		}
-		tables++
-	}
-	if tables != 2 { // fig13a + fig13bcd
-		t.Fatalf("tables = %d", tables)
 	}
 }
 
@@ -175,8 +182,10 @@ func TestErrors(t *testing.T) {
 	if code := run(ctx, []string{"-scale", "huge"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown scale exit = %d", code)
 	}
-	if code := run(ctx, []string{"-exp", "fig5", "-format", "xml"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown format exit = %d", code)
+	for _, format := range []string{"xml", "json"} {
+		if code := run(ctx, []string{"-exp", "fig5", "-format", format}, &out, &errb); code != 2 {
+			t.Fatalf("-format %s exit = %d", format, code)
+		}
 	}
 	if code := run(ctx, []string{"-bogusflag"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exit = %d", code)
@@ -232,13 +241,6 @@ func TestCacheWarmSweep(t *testing.T) {
 	if len(warm.Runs[0].Tables) != 1 ||
 		warm.Runs[0].Tables[0].Rows[0][0] != cold.Runs[0].Tables[0].Rows[0][0] {
 		t.Fatal("warm tables differ from cold tables")
-	}
-}
-
-func TestCacheBadModeExits2(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(context.Background(), []string{"-cache-dir", t.TempDir(), "-cache", "sometimes", "-exp", "fig5"}, &out, &errb); code != 2 {
-		t.Fatalf("bad cache mode exit = %d", code)
 	}
 }
 

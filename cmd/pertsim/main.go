@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var harnessOnly []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "isolate", "shards", "parallel", "timeout", "stall-window", "retries", "retry-backoff":
+		case "isolate", "shards", "parallel", "timeout", "stall-window", "retries":
 			harnessOnly = append(harnessOnly, "-"+f.Name)
 		}
 	})

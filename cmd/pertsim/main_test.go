@@ -184,7 +184,6 @@ func TestBadInputIsAnErrorNotAPanic(t *testing.T) {
 		{[]string{"-timeout", "1ns"}, 2},
 		{[]string{"-stall-window", "1ns"}, 2},
 		{[]string{"-retries", "3"}, 2},
-		{[]string{"-retry-backoff", "1s"}, 2},
 		{[]string{"-timeout", "1ns", "-retries", "3", "-stall-window", "1ns", "-parallel", "7"}, 2},
 		{[]string{"-config", negFlows}, 1},
 		{[]string{"-config", negFlows, "-validate"}, 1},

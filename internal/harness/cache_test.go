@@ -185,48 +185,35 @@ func TestFailedRunsAreNotCommitted(t *testing.T) {
 	}
 }
 
-// TestCacheModes: read never commits, write never replays, off ignores the
-// directory entirely.
-func TestCacheModes(t *testing.T) {
-	exps := []experiments.Experiment{simExperiment("m")}
+// TestClaimFailureFailsCell: a cache that cannot claim a cell fails the
+// cell with the cache's error — retryable, never committed, never reported
+// ok — instead of simulating it outside the cache.
+func TestClaimFailureFailsCell(t *testing.T) {
+	exp := simExperiment("unclaimable")
 	dir := t.TempDir()
-
 	spec := cacheSpec(dir)
-	spec.Cache.Mode = CacheRead
-	rep, err := RunExperiments(context.Background(), exps, spec)
+	spec.Retries = 1
+	key := cellKey(spec, exp)
+	if key == "" {
+		t.Fatal("no cache key")
+	}
+	// The cell's shard directory is a regular file: the claim's mkdir fails.
+	if err := os.WriteFile(filepath.Join(dir, key[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunExperiments(context.Background(), []experiments.Experiment{exp}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Runs[0].Cached {
-		t.Fatal("read mode replayed from an empty cache")
+	r := rep.Runs[0]
+	if r.Status != StatusError || !strings.Contains(r.Error, "cache: mkdir") || !strings.Contains(r.Error, "not a directory") {
+		t.Fatalf("run = %+v, want a cache claim error", r)
 	}
-	// Nothing was committed, so a readwrite run still misses.
-	rep, err = RunExperiments(context.Background(), exps, cacheSpec(dir))
-	if err != nil {
-		t.Fatal(err)
+	if r.Cached || len(r.Tables) != 0 || r.SimEvents != 0 || r.CacheKey != key {
+		t.Fatalf("unclaimed cell ran or replayed: %+v", r)
 	}
-	if rep.Runs[0].Cached || rep.CacheMisses != 1 {
-		t.Fatalf("read mode committed: %+v", rep.Runs[0])
-	}
-
-	// Write mode recomputes despite the now-committed cell, and re-commits.
-	spec.Cache.Mode = CacheWrite
-	rep, err = RunExperiments(context.Background(), exps, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs[0].Cached {
-		t.Fatal("write mode replayed")
-	}
-
-	// Off mode reports no cache activity at all.
-	spec.Cache.Mode = CacheOff
-	rep, err = RunExperiments(context.Background(), exps, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CacheDir != "" || rep.Runs[0].CacheKey != "" {
-		t.Fatalf("off mode touched the cache: %+v", rep)
+	if r.Attempts != 2 || rep.Retries != 1 {
+		t.Fatalf("attempts/retries = %d/%d, want 2/1 (claim errors are retryable)", r.Attempts, rep.Retries)
 	}
 }
 

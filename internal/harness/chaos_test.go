@@ -26,6 +26,7 @@ import (
 // SIGKILL at random points.
 func TestMain(m *testing.M) {
 	workerResolveHook = chaosResolve
+	retryBackoff = time.Millisecond // retry tests need no real backoff
 	MaybeWorker()
 	if os.Getenv("PERT_TEST_MODE") == "sweep" {
 		os.Exit(chaosSweepMain())
@@ -131,7 +132,7 @@ func chaosSweepMain() int {
 		Isolate: os.Getenv("PERT_TEST_ISOLATE") == "1",
 	}
 	if n, _ := strconv.Atoi(os.Getenv("PERT_TEST_RETRIES")); n > 0 {
-		spec.Retry = RetryPolicy{MaxAttempts: n + 1, Backoff: time.Millisecond}
+		spec.Retries = n
 	}
 	rep, runErr := RunExperiments(context.Background(), chaosCells(), spec)
 	if runErr != nil {
@@ -465,7 +466,7 @@ func TestCrashOnceCellRetriesToBitIdentical(t *testing.T) {
 		Scale:   string(experiments.Quick),
 		Cache:   CachePolicy{Dir: t.TempDir()},
 		Isolate: true,
-		Retry:   RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retries: 2,
 	}
 	rep, err := RunExperiments(context.Background(), chaosCells(), spec)
 	if err != nil {

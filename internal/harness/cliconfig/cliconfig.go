@@ -27,11 +27,9 @@ type Builder struct {
 	timeout         *time.Duration
 	stallWindow     *time.Duration
 	cacheDir        *string
-	cacheMode       *string
 	cacheFsck       *bool
 	isolate         *bool
 	retries         *int
-	retryBackoff    *time.Duration
 	metricsInterval *time.Duration
 	cpuprofile      *string
 	memprofile      *string
@@ -43,8 +41,9 @@ type Builder struct {
 }
 
 // New registers the flags every harness CLI shares: sweep mechanics
-// (-parallel, -timeout, -stall-window), the result cache (-cache-dir,
-// -cache), -metrics-interval, and the profilers.
+// (-parallel, -shards, -timeout, -stall-window, -isolate, -retries), the
+// result cache (-cache-dir, -cache-fsck), -metrics-interval, and the
+// profilers.
 func New(fs *flag.FlagSet) *Builder {
 	b := &Builder{fs: fs}
 	b.parallel = fs.Int("parallel", 0, "simulation worker count for sweeps (0 = all cores)")
@@ -52,11 +51,9 @@ func New(fs *flag.FlagSet) *Builder {
 	b.timeout = fs.Duration("timeout", 0, "per-run timeout (0 = none); a timed-out run fails, the sweep continues")
 	b.stallWindow = fs.Duration("stall-window", 0, "no-progress watchdog window (0 = off); a run whose sim counters stop advancing this long is marked stalled, the sweep continues")
 	b.cacheDir = fs.String("cache-dir", "", "content-addressed result cache: hits replay without simulating, misses commit atomically; killed sweeps resume, concurrent processes share the directory")
-	b.cacheMode = fs.String("cache", "", "cache policy with -cache-dir: readwrite (default), read, write, or off")
 	b.cacheFsck = fs.Bool("cache-fsck", false, "with -cache-dir: check and repair the cache (orphaned staging dirs, stale claims, corrupt record.json), print a summary, and exit instead of running a sweep")
 	b.isolate = fs.Bool("isolate", false, "run each cell in its own worker process, so a crash (OOM kill, runtime fatal) loses one cell instead of the sweep")
-	b.retries = fs.Int("retries", 0, "re-run cells that end error/timeout/stalled/crashed up to this many extra times, with exponential backoff")
-	b.retryBackoff = fs.Duration("retry-backoff", 0, "base delay before the first retry (0 = 500ms); doubles per retry with jitter")
+	b.retries = fs.Int("retries", 0, "re-run cells that end error/timeout/stalled/crashed up to this many extra times, with exponential backoff from 500ms")
 	b.metricsInterval = fs.Duration("metrics-interval", 0, "sampling period in sim time for -metrics (0 = 100ms)")
 	b.cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	b.memprofile = fs.String("memprofile", "", "write an allocation profile to this file (go tool pprof)")
@@ -85,7 +82,7 @@ func (b *Builder) SeedFlag(def int64) {
 }
 
 // Spec compiles the parsed flags into a validated RunSpec. Call after
-// fs.Parse; the error is user-facing (bad scale, bad cache mode).
+// fs.Parse; the error is user-facing (bad scale, negative count).
 func (b *Builder) Spec() (harness.RunSpec, error) {
 	spec := harness.RunSpec{
 		Workers:         *b.parallel,
@@ -93,20 +90,14 @@ func (b *Builder) Spec() (harness.RunSpec, error) {
 		Timeout:         *b.timeout,
 		StallWindow:     *b.stallWindow,
 		MetricsInterval: *b.metricsInterval,
-		Cache:           harness.CachePolicy{Dir: *b.cacheDir, Mode: *b.cacheMode},
+		Cache:           harness.CachePolicy{Dir: *b.cacheDir},
 		Isolate:         *b.isolate,
-		Retry:           harness.RetryPolicy{Backoff: *b.retryBackoff},
+		Retries:         *b.retries,
 	}
-	// RunSpec reads a Workers below 1 as "all cores" and has no retry count,
-	// so the two counts are range-checked here.
+	// RunSpec reads a Workers below 1 as "all cores", so -parallel is
+	// range-checked here.
 	if *b.parallel < 0 {
 		return spec, fmt.Errorf("negative -parallel %d", *b.parallel)
-	}
-	if *b.retries < 0 {
-		return spec, fmt.Errorf("negative -retries %d", *b.retries)
-	}
-	if *b.retries > 0 {
-		spec.Retry.MaxAttempts = *b.retries + 1
 	}
 	if b.scale != nil {
 		spec.Scale = *b.scale
@@ -148,9 +139,9 @@ func (b *Builder) Seed() int64 {
 func (b *Builder) MetricsInterval() time.Duration { return *b.metricsInterval }
 
 // CacheRequested reports whether the user pointed the run at a cache
-// directory (regardless of mode), so binaries whose code path cannot cache
-// can reject the combination loudly instead of ignoring it.
-func (b *Builder) CacheRequested() bool { return *b.cacheDir != "" && *b.cacheMode != harness.CacheOff }
+// directory, so binaries whose code path cannot cache can reject the
+// combination loudly instead of ignoring it.
+func (b *Builder) CacheRequested() bool { return *b.cacheDir != "" }
 
 // FsckRequested reports whether this invocation is a -cache-fsck repair run
 // rather than a sweep.

@@ -26,7 +26,7 @@ func TestSharedFlagsCompileToSpec(t *testing.T) {
 		"-scale", "paper", "-exp", "fig5, fig13", "-parallel", "4",
 		"-timeout", "2m", "-stall-window", "30s", "-seed", "9",
 		"-metrics", "mdir", "-metrics-interval", "250ms",
-		"-cache-dir", "cdir", "-cache", "read",
+		"-cache-dir", "cdir", "-isolate", "-retries", "2",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +44,14 @@ func TestSharedFlagsCompileToSpec(t *testing.T) {
 		Timeout:         2 * time.Minute,
 		StallWindow:     30 * time.Second,
 		MetricsDir:      "mdir",
-		Cache:           harness.CachePolicy{Dir: "cdir", Mode: harness.CacheRead},
+		Cache:           harness.CachePolicy{Dir: "cdir"},
+		Isolate:         true,
+		Retries:         2,
 	}
 	if spec.Scale != want.Scale || spec.Seed != want.Seed || spec.Workers != want.Workers ||
 		spec.Timeout != want.Timeout || spec.StallWindow != want.StallWindow ||
 		spec.MetricsDir != want.MetricsDir || spec.MetricsInterval != want.MetricsInterval ||
-		spec.Cache != want.Cache {
+		spec.Cache != want.Cache || spec.Isolate != want.Isolate || spec.Retries != want.Retries {
 		t.Fatalf("spec = %+v, want %+v", spec, want)
 	}
 	if len(spec.Experiments) != 2 || spec.Experiments[0] != "fig5" || spec.Experiments[1] != "fig13" {
@@ -100,17 +102,8 @@ func TestSpecValidates(t *testing.T) {
 		t.Fatal("bad scale accepted")
 	}
 
-	fs = newFS()
-	b = New(fs)
-	if err := fs.Parse([]string{"-cache-dir", "d", "-cache", "sometimes"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Spec(); err == nil {
-		t.Fatal("bad cache mode accepted")
-	}
-
 	for _, args := range [][]string{
-		{"-parallel", "-1"}, {"-retries", "-1"}, {"-retry-backoff", "-1s"},
+		{"-parallel", "-1"}, {"-retries", "-1"},
 		{"-timeout", "-1s"}, {"-stall-window", "-5s"}, {"-metrics-interval", "-1s"},
 	} {
 		fs = newFS()
@@ -121,16 +114,5 @@ func TestSpecValidates(t *testing.T) {
 		if _, err := b.Spec(); err == nil {
 			t.Errorf("%v accepted", args)
 		}
-	}
-}
-
-func TestCacheOffMode(t *testing.T) {
-	fs := newFS()
-	b := New(fs)
-	if err := fs.Parse([]string{"-cache-dir", "d", "-cache", "off"}); err != nil {
-		t.Fatal(err)
-	}
-	if b.CacheRequested() {
-		t.Fatal("CacheRequested with -cache off")
 	}
 }

@@ -21,6 +21,10 @@ import (
 // active.
 const maxStallDumpLines = 400
 
+// progressInterval is the period of the Progress events a Sink receives
+// while a cell runs.
+const progressInterval = time.Second
+
 // mallocCount reads the process's cumulative heap-object allocation count.
 // Deltas across a sequential run attribute its allocations (see
 // RunRecord.Mallocs for the caveats).
@@ -71,13 +75,10 @@ func RunExperiments(ctx context.Context, exps []experiments.Experiment, spec Run
 	rep.Workers = workers
 
 	var store *cache.Store
-	if spec.Cache.enabled() {
+	if spec.Cache.Dir != "" {
 		s, err := cache.Open(spec.Cache.Dir)
 		if err != nil {
 			return rep, err
-		}
-		if spec.Cache.StaleClaim > 0 {
-			s.StaleClaim = spec.Cache.StaleClaim
 		}
 		store = s
 		rep.CacheDir = s.Dir()
@@ -139,10 +140,10 @@ func finish(rep *Report, start time.Time, isolate bool, ev0, m0 uint64) {
 	}
 }
 
-// runCell resolves one sweep cell against the cache — replay a committed
-// entry, wait out another worker's claim, or execute and commit — falling
-// back to a plain uncached run when the cell has no stable key or the
-// policy forbids the needed side.
+// runCell resolves one sweep cell against the cache: replay a committed
+// entry, or claim the cell and execute and commit it, waiting out another
+// worker's claim first. A cell runs uncached only when there is no cache or
+// it has no stable key; a cache that cannot claim the cell fails it.
 func runCell(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 	store *cache.Store, sink Sink, index, total int, doneWall time.Duration, attempt int) RunRecord {
 
@@ -151,65 +152,49 @@ func runCell(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 		return runOne(ctx, exp, spec, spec.MetricsDir, sink, index, total, doneWall, attempt)
 	}
 	for {
-		if spec.Cache.reads() {
-			if rec, ok := replayCell(store, key, exp, sink, index, total); ok {
-				return rec
-			}
-		}
-		if !spec.Cache.writes() {
-			// Read-only policy and no committed entry: plain run.
-			rec := runOne(ctx, exp, spec, spec.MetricsDir, sink, index, total, doneWall, attempt)
-			rec.CacheKey = key
+		if rec, ok := replayCell(store, key, exp, sink, index, total); ok {
 			return rec
 		}
 		claim, err := store.Claim(key)
 		if err != nil {
-			// A broken cache directory degrades to uncached execution
-			// rather than failing the sweep.
-			rec := runOne(ctx, exp, spec, spec.MetricsDir, sink, index, total, doneWall, attempt)
+			rec := failedRecord(exp, spec, StatusError, err.Error(), attempt)
 			rec.CacheKey = key
 			return rec
 		}
-		if claim == nil {
-			// Another live worker owns this cell. Wait for its commit when
-			// we may read it; otherwise compute our own uncommitted copy.
-			if !spec.Cache.reads() {
-				rec := runOne(ctx, exp, spec, spec.MetricsDir, sink, index, total, doneWall, attempt)
-				rec.CacheKey = key
-				return rec
-			}
-			entry, err := store.Wait(ctx, key, 0)
-			if err != nil {
-				status := StatusError
-				if ctx.Err() != nil {
-					status = StatusCanceled // the sweep was interrupted, not the cell
-				}
-				rec := RunRecord{ID: exp.ID, Title: exp.Title, Scale: string(spec.scale()),
-					Status: status, Error: err.Error(), Attempts: attempt,
-					CacheKey: key, Tables: []*experiments.Table{}}
-				return rec
-			}
-			if entry != nil {
-				continue // committed: replay on the next pass
-			}
-			continue // owner released without committing: retry the claim
-		}
-		if spec.Cache.reads() {
+		if claim != nil {
 			// The previous owner may have committed between our miss and
 			// our claim; computing again would publish nothing new.
 			if rec, ok := replayCell(store, key, exp, sink, index, total); ok {
 				claim.Release()
 				return rec
 			}
+			return computeAndCommit(ctx, exp, spec, key, claim, sink, index, total, doneWall, attempt)
 		}
-		return computeAndCommit(ctx, exp, spec, key, claim, sink, index, total, doneWall, attempt)
+		// Another live worker owns this cell: wait for it to commit (replay
+		// on the next pass) or to release without committing (claim again).
+		if _, err := store.Wait(ctx, key, 0); err != nil {
+			status := StatusError
+			if ctx.Err() != nil {
+				status = StatusCanceled // the sweep was interrupted, not the cell
+			}
+			rec := failedRecord(exp, spec, status, err.Error(), attempt)
+			rec.CacheKey = key
+			return rec
+		}
 	}
+}
+
+// failedRecord is the record of a cell that ended without running to a
+// verdict of its own: a cache or worker failure, or an interrupted wait.
+func failedRecord(exp experiments.Experiment, spec RunSpec, status, msg string, attempt int) RunRecord {
+	return RunRecord{ID: exp.ID, Title: exp.Title, Scale: string(spec.scale()),
+		Status: status, Error: msg, Attempts: attempt, Tables: []*experiments.Table{}}
 }
 
 // cellKey returns the cell's content address, or "" when the spec or cell
 // is not cacheable (no cache configured, or no key could be computed).
 func cellKey(spec RunSpec, exp experiments.Experiment) string {
-	if !spec.Cache.enabled() {
+	if spec.Cache.Dir == "" {
 		return ""
 	}
 	var key string
@@ -337,10 +322,10 @@ func runOne(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 	start := time.Now()
 
 	var stopProgress chan struct{}
-	if sink != nil && spec.ProgressInterval > 0 {
+	if sink != nil {
 		stopProgress = make(chan struct{})
 		go func() {
-			tick := time.NewTicker(spec.ProgressInterval)
+			tick := time.NewTicker(progressInterval)
 			defer tick.Stop()
 			for {
 				select {

@@ -49,7 +49,9 @@ func checkRecord(rec *RunRecord) error {
 	switch rec.Status {
 	case StatusOK, StatusError, StatusTimeout, StatusStalled, StatusCrashed, StatusCanceled:
 	case "":
-		// Legacy pre-status records: health is derived from Error.
+		// Every committed record carries a status; one without was edited
+		// by hand or written by other code, and must not replay as healthy.
+		return errors.New("record has no status")
 	default:
 		return fmt.Errorf("record has unknown status %q", rec.Status)
 	}

@@ -16,7 +16,7 @@ func TestDecodeRunRecord(t *testing.T) {
 		wantErr string
 	}{
 		{"valid", valid, ""},
-		{"legacy no status", `{"id":"fig6","tables":[]}`, ""},
+		{"legacy no status", `{"id":"fig6","tables":[]}`, "no status"},
 		{"null tables normalized", `{"id":"fig6","status":"ok"}`, ""},
 		{"empty", ``, "decode record"},
 		{"truncated", valid[:len(valid)/2], "decode record"},
@@ -24,10 +24,10 @@ func TestDecodeRunRecord(t *testing.T) {
 		{"not an object", `[1,2,3]`, "decode record"},
 		{"missing id", `{"status":"ok","tables":[]}`, "no experiment id"},
 		{"unknown status", `{"id":"fig6","status":"mostly-ok","tables":[]}`, "unknown status"},
-		{"negative attempts", `{"id":"fig6","attempts":-3,"tables":[]}`, "negative attempts"},
-		{"negative wall", `{"id":"fig6","wall_seconds":-1,"tables":[]}`, "negative"},
-		{"huge exponent inf", `{"id":"fig6","wall_seconds":1e999,"tables":[]}`, "decode record"},
-		{"null table entry", `{"id":"fig6","tables":[null]}`, "null table"},
+		{"negative attempts", `{"id":"fig6","status":"ok","attempts":-3,"tables":[]}`, "negative attempts"},
+		{"negative wall", `{"id":"fig6","status":"ok","wall_seconds":-1,"tables":[]}`, "negative"},
+		{"huge exponent inf", `{"id":"fig6","status":"ok","wall_seconds":1e999,"tables":[]}`, "decode record"},
+		{"null table entry", `{"id":"fig6","status":"ok","tables":[null]}`, "null table"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +52,7 @@ func TestDecodeRunRecord(t *testing.T) {
 }
 
 func TestValidateRecordMatchesDecoder(t *testing.T) {
-	if err := ValidateRecord([]byte(`{"id":"x","tables":[]}`)); err != nil {
+	if err := ValidateRecord([]byte(`{"id":"x","status":"ok","tables":[]}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateRecord([]byte(`{"id":`)); err == nil {

@@ -32,9 +32,9 @@ type RunRecord struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
 	Scale string `json:"scale"`
-	// Status is the run-health verdict: "ok", "error", "timeout" or
-	// "stalled" (an additive schema-version-1 field; absent in old reports
-	// means "ok" when Error is empty, "error" otherwise).
+	// Status is the run-health verdict, one of the Status* values. Every
+	// record carries one; a cached record without it is rejected on replay
+	// and recomputed.
 	Status string `json:"status"`
 	// WallSeconds is the run's wallclock duration.
 	WallSeconds float64 `json:"wall_seconds"`
@@ -58,7 +58,7 @@ type RunRecord struct {
 	// Error is the failure (panic, cancellation, bad spec), empty on success.
 	Error string `json:"error,omitempty"`
 	// Attempts is how many times the cell executed before this record was
-	// produced (1 = first try; >1 means RunSpec.Retry re-ran it). Replayed
+	// produced (1 = first try; >1 means RunSpec.Retries re-ran it). Replayed
 	// records keep the count of the run that committed them. Additive
 	// schema-version-1 field; absent in old reports means 1.
 	Attempts int `json:"attempts,omitempty"`

@@ -5,36 +5,21 @@ import (
 	"time"
 )
 
-// Retry defaults, used when a RetryPolicy enables retries but leaves the
-// backoff knobs zero.
+// The retry schedule: the first retry waits about baseRetryBackoff, and each
+// later one doubles it up to maxRetryBackoff. Retries are mechanics: they
+// never participate in cache keys, so the same sweep with and without
+// retries resolves to identical cells.
 const (
-	DefaultRetryBackoff    = 500 * time.Millisecond
-	DefaultRetryMaxBackoff = 30 * time.Second
+	baseRetryBackoff = 500 * time.Millisecond
+	maxRetryBackoff  = 30 * time.Second
 )
 
-// RetryPolicy bounds how the supervisor re-runs failed cells. It is a
-// mechanics field on RunSpec: it never participates in cache keys, so the
-// same sweep with and without retries resolves to identical cells.
-//
-// Only transient verdicts are retried — error, timeout, stalled and crashed.
-// A canceled cell (the user hit Ctrl-C) is never retried, and ok never
-// re-runs.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of executions allowed per cell,
-	// including the first. 0 and 1 both mean "no retries".
-	MaxAttempts int `json:"max_attempts,omitempty"`
-	// Backoff is the delay before the first retry; each subsequent retry
-	// doubles it, capped at MaxBackoff. Zero means DefaultRetryBackoff.
-	Backoff time.Duration `json:"backoff,omitempty"`
-	// MaxBackoff caps the exponential growth. Zero means
-	// DefaultRetryMaxBackoff.
-	MaxBackoff time.Duration `json:"max_backoff,omitempty"`
-}
+// retryBackoff is the delay before the first retry. Overridable in tests.
+var retryBackoff = baseRetryBackoff
 
-// enabled reports whether the policy allows any retry at all.
-func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
-
-// retryable reports whether a run verdict is worth re-running.
+// retryable reports whether a run verdict is worth re-running: error,
+// timeout, stalled and crashed are. A canceled cell (the user hit Ctrl-C) is
+// never retried, and ok never re-runs.
 func retryable(status string) bool {
 	switch status {
 	case StatusError, StatusTimeout, StatusStalled, StatusCrashed:
@@ -47,25 +32,13 @@ func retryable(status string) bool {
 // (attempt 2 = first retry). Full-jitter-lite: uniform in [d/2, d] where d
 // doubles per retry, so colliding workers decorrelate without ever retrying
 // immediately.
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = DefaultRetryMaxBackoff
-	}
-	d := base
-	for i := 2; i < attempt; i++ {
+func backoff(attempt int) time.Duration {
+	d := retryBackoff
+	for i := 2; i < attempt && d < maxRetryBackoff; i++ {
 		d *= 2
-		if d >= max {
-			d = max
-			break
-		}
 	}
-	if d > max {
-		d = max
+	if d > maxRetryBackoff {
+		d = maxRetryBackoff
 	}
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))

@@ -12,42 +12,12 @@ import (
 	"pert/internal/sim"
 )
 
-// Cache policy modes. The zero value ("") behaves as CacheReadWrite.
-const (
-	CacheReadWrite = "readwrite" // replay hits, commit misses (default)
-	CacheRead      = "read"      // replay hits, never commit
-	CacheWrite     = "write"     // always recompute, commit results
-	CacheOff       = "off"       // ignore the cache directory entirely
-)
-
-// CachePolicy selects how a sweep uses the content-addressed result store.
-// An empty Dir disables caching regardless of Mode.
+// CachePolicy names the content-addressed result store a sweep uses. An
+// empty Dir disables caching.
 type CachePolicy struct {
 	// Dir is the cache root directory, shared freely between concurrent
 	// worker processes (cells are claimed via lockfiles).
 	Dir string `json:"dir,omitempty"`
-	// Mode is one of "", "readwrite", "read", "write", "off".
-	Mode string `json:"mode,omitempty"`
-	// StaleClaim overrides cache.DefaultStaleClaim for in-flight cell
-	// claims; 0 keeps the default. Runtime tuning, not serialized.
-	StaleClaim time.Duration `json:"-"`
-}
-
-func (p CachePolicy) enabled() bool { return p.Dir != "" && p.Mode != CacheOff }
-func (p CachePolicy) reads() bool {
-	return p.enabled() && (p.Mode == "" || p.Mode == CacheReadWrite || p.Mode == CacheRead)
-}
-func (p CachePolicy) writes() bool {
-	return p.enabled() && (p.Mode == "" || p.Mode == CacheReadWrite || p.Mode == CacheWrite)
-}
-
-func (p CachePolicy) validate() error {
-	switch p.Mode {
-	case "", CacheReadWrite, CacheRead, CacheWrite, CacheOff:
-		return nil
-	}
-	return fmt.Errorf("harness: unknown cache mode %q (want %s, %s, %s or %s)",
-		p.Mode, CacheReadWrite, CacheRead, CacheWrite, CacheOff)
 }
 
 // RunSpec is the single canonical description of one harness invocation —
@@ -112,21 +82,21 @@ type RunSpec struct {
 	// Cache selects the content-addressed result store, if any.
 	Cache CachePolicy `json:"cache,omitempty"`
 	// Isolate runs each cell in a re-exec'd worker process, so an OOM kill
-	// or fatal runtime error loses one cell instead of the sweep. Requires
-	// an enabled Cache (the worker commits its result there) and a binary
-	// that calls MaybeWorker early in main.
+	// or fatal runtime error loses one cell instead of the sweep. Needs a
+	// binary that calls MaybeWorker early in main. With a Cache the worker
+	// claims and commits the cell there; without one it runs the cell and
+	// reports the record back.
 	Isolate bool `json:"isolate,omitempty"`
-	// Retry re-runs cells that end error/timeout/stalled/crashed, with
-	// exponential backoff + jitter. The zero value disables retries.
-	Retry RetryPolicy `json:"retry,omitempty"`
+	// Retries is how many extra times a cell that ends error, timeout,
+	// stalled or crashed is re-run, with jittered exponential backoff from
+	// 500 ms (see backoff). 0 disables retries.
+	Retries int `json:"retries,omitempty"`
 
 	// Runtime wiring — excluded from the serialized form.
 
-	// Sink observes run lifecycle and progress events; nil disables.
+	// Sink observes run lifecycle events, and a Progress tick every
+	// second while a cell runs; nil disables.
 	Sink Sink `json:"-"`
-	// ProgressInterval is the Progress event period; 0 disables progress
-	// ticks (lifecycle events are still emitted).
-	ProgressInterval time.Duration `json:"-"`
 }
 
 // scale returns the effective scale with the quick default applied.
@@ -156,17 +126,13 @@ func (s RunSpec) Validate() error {
 		v    time.Duration
 	}{
 		{"timeout", s.Timeout}, {"stall window", s.StallWindow}, {"metrics interval", s.MetricsInterval},
-		{"retry backoff", s.Retry.Backoff}, {"retry max backoff", s.Retry.MaxBackoff},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("harness: negative %s %v", d.name, d.v)
 		}
 	}
-	if s.Retry.MaxAttempts < 0 {
-		return fmt.Errorf("harness: negative retry max attempts %d", s.Retry.MaxAttempts)
-	}
-	if err := s.Cache.validate(); err != nil {
-		return err
+	if s.Retries < 0 {
+		return fmt.Errorf("harness: negative retries %d", s.Retries)
 	}
 	if s.Scenario != nil {
 		if err := s.Scenario.Validate(); err != nil {

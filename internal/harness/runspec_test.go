@@ -81,8 +81,9 @@ func TestCellKeyIgnoresMechanics(t *testing.T) {
 		{Scale: "quick"}, // explicit quick == default
 		{Scale: "quick", Workers: 7},
 		{Scale: "quick", Timeout: time.Minute, StallWindow: time.Second},
-		{Scale: "quick", Sink: NewWriterSink(nil), ProgressInterval: time.Second},
-		{Scale: "quick", Cache: CachePolicy{Dir: "/elsewhere", Mode: CacheRead}},
+		{Scale: "quick", Sink: NewWriterSink(nil)},
+		{Scale: "quick", Cache: CachePolicy{Dir: "/elsewhere"}},
+		{Scale: "quick", Isolate: true, Retries: 3},
 		{Scale: "quick", MetricsInterval: time.Second}, // interval without metrics on
 	}
 	for i, s := range same {
@@ -238,19 +239,18 @@ func TestScenarioKeyRejectsGoOnlyOverrides(t *testing.T) {
 
 func TestRunSpecJSONRoundTripOmitsWiring(t *testing.T) {
 	spec := RunSpec{
-		Experiments:      []string{"fig5"},
-		Scale:            "quick",
-		Workers:          3,
-		Sink:             NewWriterSink(nil),
-		ProgressInterval: time.Second,
-		Cache:            CachePolicy{Dir: "d", StaleClaim: time.Minute},
+		Experiments: []string{"fig5"},
+		Scale:       "quick",
+		Workers:     3,
+		Sink:        NewWriterSink(nil),
+		Cache:       CachePolicy{Dir: "d"},
 	}
 	blob, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(blob)
-	for _, banned := range []string{"Sink", "sink", "ProgressInterval", "progress", "StaleClaim", "stale"} {
+	for _, banned := range []string{"Sink", "sink"} {
 		if strings.Contains(s, banned) {
 			t.Errorf("serialized spec leaked runtime wiring %q: %s", banned, s)
 		}
@@ -271,9 +271,6 @@ func TestRunSpecValidate(t *testing.T) {
 	if err := (RunSpec{Scale: "huge"}).Validate(); err == nil {
 		t.Fatal("bad scale accepted")
 	}
-	if err := (RunSpec{Cache: CachePolicy{Dir: "d", Mode: "sometimes"}}).Validate(); err == nil {
-		t.Fatal("bad cache mode accepted")
-	}
 	if err := (RunSpec{Scenario: &scenario.Spec{}}).Validate(); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
@@ -281,34 +278,10 @@ func TestRunSpecValidate(t *testing.T) {
 		{Timeout: -time.Second},
 		{StallWindow: -5 * time.Second},
 		{MetricsInterval: -time.Second},
-		{Retry: RetryPolicy{MaxAttempts: -1}},
-		{Retry: RetryPolicy{MaxAttempts: 2, Backoff: -time.Second}},
-		{Retry: RetryPolicy{MaxAttempts: 2, MaxBackoff: -time.Second}},
-		{Retry: RetryPolicy{Backoff: -time.Second}},
+		{Retries: -1},
 	} {
 		if err := s.Validate(); err == nil {
 			t.Errorf("negative setting accepted: %+v", s)
-		}
-	}
-}
-
-func TestCachePolicyModes(t *testing.T) {
-	cases := []struct {
-		p             CachePolicy
-		enabled, r, w bool
-	}{
-		{CachePolicy{}, false, false, false},
-		{CachePolicy{Dir: "d"}, true, true, true},
-		{CachePolicy{Dir: "d", Mode: CacheReadWrite}, true, true, true},
-		{CachePolicy{Dir: "d", Mode: CacheRead}, true, true, false},
-		{CachePolicy{Dir: "d", Mode: CacheWrite}, true, false, true},
-		{CachePolicy{Dir: "d", Mode: CacheOff}, false, false, false},
-		{CachePolicy{Mode: CacheReadWrite}, false, false, false},
-	}
-	for i, c := range cases {
-		if c.p.enabled() != c.enabled || c.p.reads() != c.r || c.p.writes() != c.w {
-			t.Errorf("case %d (%+v): enabled=%v reads=%v writes=%v",
-				i, c.p, c.p.enabled(), c.p.reads(), c.p.writes())
 		}
 	}
 }

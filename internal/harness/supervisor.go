@@ -77,18 +77,14 @@ func NotifyShutdown(parent context.Context) (context.Context, context.CancelFunc
 	return WithHardCancel(soft, hard), stop
 }
 
-// runCellAttempts wraps one cell in the retry policy: execute (isolated or
+// runCellAttempts wraps one cell in spec.Retries: execute (isolated or
 // in-process), and while the verdict is transient — error, timeout, stalled,
-// crashed — and attempts remain, back off with jitter and re-run. Cached
+// crashed — and retries remain, back off with jitter and re-run. Cached
 // replays and canceled cells never retry; cancellation during backoff
 // returns the last verdict without burning the remaining attempts.
 func runCellAttempts(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 	store *cache.Store, sink Sink, index, total int, doneWall time.Duration) RunRecord {
 
-	maxAttempts := 1
-	if spec.Retry.enabled() {
-		maxAttempts = spec.Retry.MaxAttempts
-	}
 	for attempt := 1; ; attempt++ {
 		var rec RunRecord
 		if spec.Isolate {
@@ -99,18 +95,18 @@ func runCellAttempts(ctx context.Context, exp experiments.Experiment, spec RunSp
 		if !rec.Cached && rec.Attempts == 0 {
 			rec.Attempts = attempt
 		}
-		if rec.Cached || !retryable(rec.Status) || attempt >= maxAttempts {
+		if rec.Cached || !retryable(rec.Status) || attempt > spec.Retries {
 			return rec
 		}
-		backoff := spec.Retry.backoff(attempt + 1)
+		delay := backoff(attempt + 1)
 		if sink != nil {
 			sink.Event(Event{Kind: RunRetried, ID: exp.ID, Index: index, Total: total,
-				Status: rec.Status, Err: errors.New(rec.Error), Attempt: attempt, Backoff: backoff})
+				Status: rec.Status, Err: errors.New(rec.Error), Attempt: attempt, Backoff: delay})
 		}
 		select {
 		case <-ctx.Done():
 			return rec
-		case <-time.After(backoff):
+		case <-time.After(delay):
 		}
 	}
 }
@@ -124,7 +120,7 @@ func runCellIsolated(ctx context.Context, exp experiments.Experiment, spec RunSp
 	store *cache.Store, sink Sink, index, total, attempt int) RunRecord {
 
 	key := cellKey(spec, exp)
-	if store != nil && key != "" && spec.Cache.reads() {
+	if store != nil && key != "" {
 		if rec, ok := replayCell(store, key, exp, sink, index, total); ok {
 			return rec
 		}
@@ -159,10 +155,7 @@ func runCellIsolated(ctx context.Context, exp experiments.Experiment, spec RunSp
 // Soft cancellation deliberately does not kill — the sweep loop stops
 // starting new cells while the in-flight one drains.
 func superviseWorker(ctx context.Context, exp experiments.Experiment, spec RunSpec, attempt int) RunRecord {
-	fail := func(status, msg string) RunRecord {
-		return RunRecord{ID: exp.ID, Title: exp.Title, Scale: string(spec.scale()),
-			Status: status, Error: msg, Attempts: attempt, Tables: []*experiments.Table{}}
-	}
+	fail := func(status, msg string) RunRecord { return failedRecord(exp, spec, status, msg, attempt) }
 	exe, err := os.Executable()
 	if err != nil {
 		return fail(StatusCrashed, fmt.Sprintf("harness: cannot locate worker executable: %v", err))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -33,7 +34,7 @@ func flakyExperiment(id string, failures int) experiments.Experiment {
 func TestRetryTransientErrorSucceeds(t *testing.T) {
 	var retried []Event
 	spec := RunSpec{
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retries: 2,
 		Sink: sinkFunc(func(e Event) {
 			if e.Kind == RunRetried {
 				retried = append(retried, e)
@@ -65,7 +66,7 @@ func TestRetryTransientErrorSucceeds(t *testing.T) {
 }
 
 func TestRetryExhaustionKeepsLastVerdict(t *testing.T) {
-	spec := RunSpec{Retry: RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}}
+	spec := RunSpec{Retries: 1}
 	rep, err := RunExperiments(context.Background(), []experiments.Experiment{flakyExperiment("doomed", 99)}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestCanceledCellNotRetried(t *testing.T) {
 	// A generous per-run Timeout guarantees the deadline is NOT what fired.
 	spec := RunSpec{
 		Timeout: time.Hour,
-		Retry:   RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
+		Retries: 4,
 	}
 	rep, _ := RunExperiments(ctx, []experiments.Experiment{victim}, spec)
 	if len(rep.Runs) != 1 {
@@ -222,29 +223,21 @@ func TestNotifyShutdownTwoStage(t *testing.T) {
 }
 
 // TestRetryBackoffSchedule pins the exponential-doubling-with-jitter shape:
-// each delay lands in [d/2, d] where d doubles per retry, capped.
+// each delay lands in [d/2, d] where d starts at retryBackoff and doubles
+// per retry, capped at maxRetryBackoff.
 func TestRetryBackoffSchedule(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, Backoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
 	for attempt, wantMax := range map[int]time.Duration{
-		2: 100 * time.Millisecond,
-		3: 200 * time.Millisecond,
-		4: 400 * time.Millisecond,
-		5: 400 * time.Millisecond, // capped
-		9: 400 * time.Millisecond, // still capped
+		2:  retryBackoff,
+		3:  2 * retryBackoff,
+		4:  4 * retryBackoff,
+		40: maxRetryBackoff, // capped
+		99: maxRetryBackoff, // still capped
 	} {
 		for i := 0; i < 20; i++ {
-			d := p.backoff(attempt)
+			d := backoff(attempt)
 			if d < wantMax/2 || d > wantMax {
 				t.Fatalf("backoff(%d) = %s, want in [%s, %s]", attempt, d, wantMax/2, wantMax)
 			}
-		}
-	}
-	if !(RetryPolicy{MaxAttempts: 2}).enabled() {
-		t.Fatal("MaxAttempts 2 should enable retries")
-	}
-	for _, n := range []int{0, 1} {
-		if (RetryPolicy{MaxAttempts: n}).enabled() {
-			t.Fatalf("MaxAttempts %d should not enable retries", n)
 		}
 	}
 	for _, status := range []string{StatusError, StatusTimeout, StatusStalled, StatusCrashed} {
@@ -268,6 +261,28 @@ func TestWorkerRejectsGarbageInput(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "bad input") {
 		t.Fatalf("stderr = %q", stderr.String())
+	}
+}
+
+// TestWorkerUnopenableCacheFailsCell: a worker whose cache directory cannot
+// be opened records an error instead of running the cell uncommitted — the
+// parent would otherwise stamp a cache key on a record that was never
+// stored.
+func TestWorkerUnopenableCacheFailsCell(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := runWorkerCell(context.Background(), workerInput{
+		Spec:       RunSpec{Scale: string(experiments.Quick), Cache: CachePolicy{Dir: file}},
+		Experiment: "chaos-a",
+		Attempt:    1,
+	})
+	if rec.Status != StatusError || !strings.Contains(rec.Error, "cache:") || len(rec.Tables) != 0 {
+		t.Fatalf("record = %+v, want a cache error", rec)
+	}
+	if !retryable(rec.Status) {
+		t.Fatal("a cache failure must be retryable")
 	}
 }
 

@@ -61,26 +61,23 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 
 // runWorkerCell executes the cell exactly like an in-process sweep would —
 // same cache resolution, claim protocol, and commit — so the parent's only
-// special handling is reading the record back instead of computing it.
+// special handling is reading the record back instead of computing it. A
+// cache the worker cannot open fails the cell rather than running it
+// uncommitted.
 func runWorkerCell(ctx context.Context, in workerInput) RunRecord {
 	spec := in.Spec
 	exp, ok := resolveCell(spec, in.Experiment)
 	if !ok {
-		return RunRecord{
-			ID: in.Experiment, Title: "unknown experiment", Scale: string(spec.scale()),
-			Status: StatusError, Attempts: in.Attempt,
-			Error:  fmt.Sprintf("worker: cannot resolve cell %q", in.Experiment),
-			Tables: []*experiments.Table{},
-		}
+		return failedRecord(experiments.Experiment{ID: in.Experiment, Title: "unknown experiment"},
+			spec, StatusError, fmt.Sprintf("worker: cannot resolve cell %q", in.Experiment), in.Attempt)
 	}
 	var store *cache.Store
-	if spec.Cache.enabled() {
-		if s, err := cache.Open(spec.Cache.Dir); err == nil {
-			if spec.Cache.StaleClaim > 0 {
-				s.StaleClaim = spec.Cache.StaleClaim
-			}
-			store = s
+	if spec.Cache.Dir != "" {
+		s, err := cache.Open(spec.Cache.Dir)
+		if err != nil {
+			return failedRecord(exp, spec, StatusError, err.Error(), in.Attempt)
 		}
+		store = s
 	}
 	workers := spec.Workers
 	if workers < 1 {
@@ -110,8 +107,7 @@ func resolveCell(spec RunSpec, id string) (experiments.Experiment, bool) {
 // both) and no runtime wiring (sinks don't serialize).
 func (s RunSpec) forWorker() RunSpec {
 	s.Isolate = false
-	s.Retry = RetryPolicy{}
+	s.Retries = 0
 	s.Sink = nil
-	s.ProgressInterval = 0
 	return s
 }

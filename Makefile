@@ -39,10 +39,14 @@ one-path:
 	fi
 	@echo "one-path: OK (executor.go is the only constructor in internal/experiments)"
 
-# Validate every example scenario JSON against the live loader.
+# Validate every example scenario JSON against the live loader, with one
+# pertsim binary built into a temp dir.
 validate-scenarios:
-	@for f in examples/scenarios/*.json; do \
-		$(GO) run ./cmd/pertsim -config $$f -validate || exit 1; \
+	@dir=$$(mktemp -d); \
+	trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/pertsim" ./cmd/pertsim || exit 1; \
+	for f in examples/scenarios/*.json; do \
+		"$$dir/pertsim" -config $$f -validate || exit 1; \
 	done
 
 # Perf-regression reference point: one single-worker quick-scale sweep,
@@ -52,8 +56,9 @@ validate-scenarios:
 bench:
 	$(GO) run ./cmd/pertbench -scale quick -json -parallel 1 > BENCH_quick.json
 
-# Go micro-benchmarks: every paper figure/table at quick scale, ablations,
-# and substrate benchmarks (ns/event, allocs/event, saturated-link cost).
+# Go micro-benchmarks: the ablations of PERT's design choices and the
+# substrate benchmarks (ns/event, allocs/event, saturated-link cost). The
+# paper's tables are measured per experiment by `make bench`.
 bench-micro:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -183,7 +188,6 @@ results-paper:
 
 # Exercise the fuzz targets briefly.
 fuzz:
-	$(GO) test ./internal/predictors -run=NONE -fuzz=FuzzLoadTrace -fuzztime=20s
 	$(GO) test ./internal/experiments -run=NONE -fuzz=FuzzLoadScenario -fuzztime=20s
 	$(GO) test ./internal/scenario -run=NONE -fuzz=FuzzLoadSpec -fuzztime=20s
 	$(GO) test ./internal/netem -run=NONE -fuzz=FuzzReadTrace -fuzztime=20s

@@ -1,15 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper at quick
-// scale, plus ablations of PERT's design choices and micro-benchmarks of the
-// simulator substrate. Custom metrics attached via b.ReportMetric carry the
-// experiment's headline numbers (queue, drops, utilization, fairness) into
-// the benchmark output, so `go test -bench=.` doubles as a results run.
+// Benchmarks of PERT's design choices (ablations) and micro-benchmarks of
+// the simulator substrate. Custom metrics attached via b.ReportMetric carry
+// each ablation's headline numbers (queue, drops, utilization, fairness)
+// into the benchmark output. The paper's tables and figures are run, and
+// their wall time, events and allocations measured, by
+// `go run ./cmd/pertbench -exp <id> -json`.
 //
-// Run a single experiment:   go test -bench=BenchmarkFig6 -benchtime=1x
-// Full paper-scale runs:     go run ./cmd/pertbench -scale paper
+// Run one benchmark:   go test -bench=BenchmarkAblationGentle -benchtime=1x
 package pert
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -23,57 +22,6 @@ import (
 	"pert/internal/topo"
 	"pert/internal/trafficgen"
 )
-
-// runExperiment executes a registered experiment once per iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	ctx := context.Background()
-	var tables []*experiments.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = exp.Run(ctx, experiments.Quick)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-	rows := 0
-	for _, t := range tables {
-		rows += len(t.Rows)
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-// --- One benchmark per paper table/figure (E1..E13 in DESIGN.md) ---
-
-// BenchmarkSection2 simulates the six Section 2 traces and extracts
-// Figures 2-4 and the ext-threshold sweep from them.
-func BenchmarkSection2(b *testing.B) { runExperiment(b, "section2") }
-func BenchmarkFig5(b *testing.B)     { runExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)     { runExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)     { runExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)     { runExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)     { runExperiment(b, "fig9") }
-func BenchmarkTable1(b *testing.B)   { runExperiment(b, "table1") }
-func BenchmarkFig11(b *testing.B)    { runExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)    { runExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)    { runExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)    { runExperiment(b, "fig14") }
-
-// Extension experiments (beyond the paper; see EXPERIMENTS.md).
-
-func BenchmarkExtAQM(b *testing.B)        { runExperiment(b, "ext-aqm") }
-func BenchmarkExtValidation(b *testing.B) { runExperiment(b, "ext-validation") }
-func BenchmarkExtJitter(b *testing.B)     { runExperiment(b, "ext-jitter") }
-func BenchmarkExtDelayCC(b *testing.B)    { runExperiment(b, "ext-delaycc") }
-func BenchmarkExtHighSpeed(b *testing.B)  { runExperiment(b, "ext-highspeed") }
-func BenchmarkExtCoexist(b *testing.B)    { runExperiment(b, "ext-coexist") }
-func BenchmarkExtFCT(b *testing.B)        { runExperiment(b, "ext-fct") }
-func BenchmarkExtStability(b *testing.B)  { runExperiment(b, "ext-stability") }
-func BenchmarkExtReplicated(b *testing.B) { runExperiment(b, "ext-replicated") }
 
 // --- Ablations of PERT's fixed design choices (DESIGN.md section 4) ---
 

@@ -31,8 +31,8 @@ func TestGoldenQuickTables(t *testing.T) {
 	}
 	goldenStr := string(golden)
 
-	// Fast experiments spanning the main simulator surfaces: fig13 (web
-	// traffic), ext-aqm (AQM disciplines at the bottleneck), ext-coexist
+	// Fast experiments spanning the main simulator surfaces: fig13 (the
+	// fluid model), ext-aqm (AQM disciplines at the bottleneck), ext-coexist
 	// (multi-CC sharing), ext-delaycc (delay-based controllers), ext-fct (flow
 	// completion times), fig11 (the parking lot, pinning a table produced
 	// entirely through the scenario compiler). section2 is deliberately

@@ -19,7 +19,9 @@
 // they honor -shards, -timeout, -stall-window, -retries, -isolate and the
 // content-addressed result cache (-cache-dir): a committed run replays
 // instantly, byte-identical tables included. A flag run rejects those
-// harness flags; -trace, -qseries and -metrics are flag-run outputs.
+// harness flags, and a -config run rejects the flags that describe a flag
+// run (the dumbbell, its traffic, its seed, and the -trace, -qseries and
+// -metrics outputs with -metrics-interval).
 package main
 
 import (
@@ -89,6 +91,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)
 		}
 	}()
+	if *config != "" {
+		// The scenario file describes the whole run; a flag-run flag beside
+		// it would be silently ignored, so it is a usage error.
+		var flagRun []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scheme", "seed", "bw", "rtt", "rtts", "flows", "reverse", "web", "buffer", "dur", "warm",
+				"jitter", "loss", "dup", "reorder", "reorder-extra", "trace", "qseries", "metrics", "metrics-interval":
+				flagRun = append(flagRun, "-"+f.Name)
+			}
+		})
+		if len(flagRun) > 0 {
+			fmt.Fprintf(stderr, "pertsim: %s apply to flag runs only, not to a -config scenario\n", strings.Join(flagRun, ", "))
+			return 2
+		}
+	}
 	if !experiments.Scheme(*scheme).Known() {
 		fmt.Fprintf(stderr, "pertsim: unknown scheme %q (known: %s)\n", *scheme, strings.Join(scenario.Names(), ", "))
 		return 2
@@ -101,10 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return shared.RunFsck(stdout, stderr)
 	}
 	if *config != "" {
-		if *tracePath != "" || *qseriesPath != "" || *metricsPath != "" {
-			fmt.Fprintln(stderr, "pertsim: -trace, -qseries and -metrics apply to flag runs only, not to a -config scenario")
-			return 2
-		}
 		f, err := os.Open(*config)
 		if err != nil {
 			fmt.Fprintf(stderr, "pertsim: %v\n", err)

@@ -81,19 +81,38 @@ func TestFlatConfigRejected(t *testing.T) {
 }
 
 // TestConfigRejectsFlagOutputs: -trace, -qseries and -metrics describe the
-// flag-built dumbbell; with a -config they would write nothing, so the
-// combination is a usage error (exit 2) before anything runs.
+// flag-built dumbbell, and so do the flags that build it; with a -config
+// they would write or change nothing, so the combination is a usage error
+// (exit 2) before anything runs or validates.
 func TestConfigRejectsFlagOutputs(t *testing.T) {
 	dir := t.TempDir()
+	const cfg = "../../examples/scenarios/mixed_dumbbell.json"
 	for _, flag := range []string{"-trace", "-qseries", "-metrics"} {
 		out := filepath.Join(dir, flag[1:])
 		var stdout, errb bytes.Buffer
-		code := run(context.Background(), []string{"-config", "../../examples/scenarios/mixed_dumbbell.json", flag, out}, &stdout, &errb)
+		code := run(context.Background(), []string{"-config", cfg, flag, out}, &stdout, &errb)
 		if code != 2 || !strings.HasPrefix(errb.String(), "pertsim: ") || strings.Count(errb.String(), "\n") != 1 {
 			t.Errorf("%s with -config: exit %d, stderr %q; want exit 2 and one line", flag, code, errb.String())
 		}
 		if _, err := os.Stat(out); err == nil {
 			t.Errorf("%s with -config created %s", flag, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"-config", cfg, "-flows", "50", "-bw", "1", "-validate"},
+		{"-config", "../../examples/scenarios/hybrid_isp.json", "-seed", "99"},
+		{"-config", cfg, "-scheme", "Bogus"},
+		{"-config", cfg, "-metrics-interval", "1s", "-validate"},
+	} {
+		var stdout, errb bytes.Buffer
+		code := run(context.Background(), args, &stdout, &errb)
+		msg := errb.String()
+		if code != 2 || !strings.HasSuffix(msg, "apply to flag runs only, not to a -config scenario\n") ||
+			strings.Count(msg, "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one flag-run line", args, code, stdout.String(), msg)
+		}
+		if !strings.Contains(msg, args[2]) {
+			t.Errorf("%v: stderr %q does not name %s", args, msg, args[2])
 		}
 	}
 }

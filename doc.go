@@ -3,5 +3,5 @@
 // congestion-control algorithm, a packet-level discrete-event network
 // simulator to evaluate it on, the congestion-predictor study of Section 2,
 // and the fluid-model stability analysis of Section 5. See README.md for the
-// layout and bench_test.go for the per-figure reproduction harness.
+// layout; cmd/pertbench regenerates the paper's tables and figures.
 package pert

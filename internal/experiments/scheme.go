@@ -33,10 +33,6 @@ const (
 // Table 1, in the registry's presentation order.
 var AllSection4Schemes = toSchemes(scenario.Section4Names())
 
-// AllSchemes is every registered scheme, in presentation order. Schemes
-// registered by other packages (scenario.Register) appear here too.
-var AllSchemes = toSchemes(scenario.Names())
-
 // toSchemes converts registry names to experiment-side handles.
 func toSchemes(names []string) []Scheme {
 	out := make([]Scheme, len(names))

@@ -12,28 +12,28 @@ import (
 	"pert/internal/stats"
 )
 
-// Section2Case is one of the paper's six trace-collection loads: 50 or 100
+// section2Case is one of the paper's six trace-collection loads: 50 or 100
 // long-term flows in both directions crossed with 100, 500 or 1000 web
 // sessions over a 100 Mbps / 20 ms bottleneck with a 750-packet queue.
-type Section2Case struct {
+type section2Case struct {
 	Name      string
 	LongFlows int
 	Web       int
 }
 
-// Section2Cases returns case1..case6 at the given scale. Quick scale halves
+// section2Cases returns case1..case6 at the given scale. Quick scale halves
 // the link, queue, and loads together, preserving per-flow shares and the
 // queue's drain time; keeping the flow count high (25-50) preserves the
 // paper's key property that the bottleneck can lose packets without the
 // tagged flow being among the victims.
-func Section2Cases(scale Scale) (cases []Section2Case, bandwidth float64, buffer int, dur, warm sim.Duration) {
+func section2Cases(scale Scale) (cases []section2Case, bandwidth float64, buffer int, dur, warm sim.Duration) {
 	if scale == Paper {
-		return []Section2Case{
+		return []section2Case{
 			{"case1", 50, 100}, {"case2", 50, 500}, {"case3", 50, 1000},
 			{"case4", 100, 100}, {"case5", 100, 500}, {"case6", 100, 1000},
 		}, 100e6, 750, seconds(1000), seconds(20)
 	}
-	return []Section2Case{
+	return []section2Case{
 		{"case1", 25, 50}, {"case2", 25, 250}, {"case3", 25, 500},
 		{"case4", 50, 50}, {"case5", 50, 250}, {"case6", 50, 500},
 	}, 50e6, 375, seconds(150), seconds(10)
@@ -46,20 +46,20 @@ func runSection2(ctx context.Context, scale Scale) ([]*Table, error) {
 	if err := checkRun(ctx, scale); err != nil {
 		return nil, err
 	}
-	cases, bw, buf, dur, warm := Section2Cases(scale)
+	cases, bw, buf, dur, warm := section2Cases(scale)
 	traces := make([]*predictors.Trace, len(cases))
 	if err := forEach(ctx, len(cases), func(i int) {
-		traces[i] = CollectTrace(cases[i], 100+int64(i), bw, buf, dur, warm)
+		traces[i] = collectTrace(cases[i], 100+int64(i), bw, buf, dur, warm)
 	}); err != nil {
 		return nil, err
 	}
 	return []*Table{fig2(cases, traces), fig3(buf, traces), fig4(traces), extThreshold(traces)}, nil
 }
 
-// CollectTrace simulates one case on the Section 2.2 topology with standard
+// collectTrace simulates one case on the Section 2.2 topology with standard
 // TCP everywhere and a tagged 60 ms flow, and returns the tagged flow's
-// trace (also the entry point of cmd/pertpredict and custom studies).
-func CollectTrace(c Section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
+// trace, from which runSection2 extracts every Section 2 table.
+func collectTrace(c section2Case, seed int64, bandwidth float64, buffer int, dur, warm sim.Duration) *predictors.Trace {
 	sack := string(SackDroptail)
 	// The tagged flow is group 0: alone on the first host pair (whose RTT is
 	// 60 ms as in the paper), started at t=0 with no window, so it keeps flow
@@ -150,7 +150,7 @@ func meanVsQueueLosses(traces []*predictors.Trace, mk func() predictors.Predicto
 // fig2 reproduces "fraction of transitions from high-RTT to loss when losses
 // are measured within a flow vs at the bottleneck queue": the fixed 65 ms
 // threshold predictor evaluated against both loss series.
-func fig2(cases []Section2Case, traces []*predictors.Trace) *Table {
+func fig2(cases []section2Case, traces []*predictors.Trace) *Table {
 	t := &Table{
 		ID:     "fig2",
 		Title:  "High-RTT -> loss transition fraction: flow-level vs queue-level losses (65 ms threshold)",

@@ -203,19 +203,6 @@ func TestMinDeltaConsistentWithTheorem1(t *testing.T) {
 	}
 }
 
-func TestEquilibriumFeasible(t *testing.T) {
-	// W* = 10 needs pmax >= 2% (Section 5.2's example).
-	p := PERTParams{C: 100, N: 1, R: 0.1, Tmin: 0.05, Tmax: 0.1, Pmax: 0.02, Alpha: 0.99, Delta: 1e-3}
-	// W* = RC/N = 10, p* = 2/100 = 0.02 <= pmax.
-	if !EquilibriumFeasible(p) {
-		t.Fatal("W*=10 with pmax=2% should be feasible")
-	}
-	p.Pmax = 0.01
-	if EquilibriumFeasible(p) {
-		t.Fatal("pmax=1% cannot generate p*=2%")
-	}
-}
-
 func TestREDModelEquilibrium(t *testing.T) {
 	p := REDParams{C: 1000, N: 50, R: 0.1, MinTh: 50, MaxTh: 150, Pmax: 0.1, Wq: 0.0001}
 	w, pr, q := p.Equilibrium()

@@ -50,11 +50,3 @@ func StabilityBoundaryR(p PERTParams, rLo, rHi, dr float64) float64 {
 	}
 	return last
 }
-
-// EquilibriumFeasible reports whether p* <= pmax, the side condition noted
-// after Theorem 1 (the linear response region must be able to generate the
-// stationary probability).
-func EquilibriumFeasible(p PERTParams) bool {
-	_, pStar, _ := p.Equilibrium()
-	return pStar <= p.Pmax
-}

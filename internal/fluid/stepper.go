@@ -126,14 +126,6 @@ func (s *Stepper) Steps() int { return s.n }
 // storage: read it between steps, copy it to keep it, never modify it.
 func (s *Stepper) State() []float64 { return s.x }
 
-// StateAt returns component i of the state lag seconds before the current
-// time, interpolated from the bounded history (constant x0 before t0). The
-// lag must not exceed the system's MaxLag; older requests clamp to the
-// oldest retained state.
-func (s *Stepper) StateAt(lag float64, i int) float64 {
-	return s.delayed(s.t, lag, i)
-}
-
 // Step advances the system by one h using the classical fourth-order
 // Runge-Kutta method and records the accepted state in the history ring.
 func (s *Stepper) Step() {

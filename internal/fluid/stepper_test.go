@@ -54,9 +54,10 @@ func TestStepperMatchesIntegrate(t *testing.T) {
 	}
 }
 
-// TestStepperStateAt pins delayed-state lookup: for the pure decay system the
-// state lag seconds ago is e^{lag} times the current state, and lags reaching
-// before t0 return the constant initial history.
+// TestStepperStateAt pins the history-ring lookup (delayed, at the current
+// time): for the pure decay system the state lag seconds ago is e^{lag}
+// times the current state, and lags reaching before t0 return the constant
+// initial history.
 func TestStepperStateAt(t *testing.T) {
 	sys := &System{
 		Dim:    1,
@@ -69,17 +70,17 @@ func TestStepperStateAt(t *testing.T) {
 	st.AdvanceTo(2)
 	now := st.State()[0]
 	for _, lag := range []float64{0.1, 0.25, 0.5} {
-		got := st.StateAt(lag, 0)
+		got := st.delayed(st.Time(), lag, 0)
 		want := now * math.Exp(lag)
 		if math.Abs(got-want) > 1e-6 {
-			t.Errorf("StateAt(%v) = %v, want %v", lag, got, want)
+			t.Errorf("delayed(now, %v) = %v, want %v", lag, got, want)
 		}
 	}
 	// Before history began: the constant initial value.
 	st2 := NewStepper(sys, []float64{7}, 0, 1e-3)
 	st2.AdvanceTo(0.01)
-	if got := st2.StateAt(0.4, 0); got != 7 {
-		t.Errorf("pre-t0 StateAt = %v, want the initial state 7", got)
+	if got := st2.delayed(st2.Time(), 0.4, 0); got != 7 {
+		t.Errorf("pre-t0 delayed = %v, want the initial state 7", got)
 	}
 }
 

@@ -217,6 +217,39 @@ func TestClaimFailureFailsCell(t *testing.T) {
 	}
 }
 
+// TestCommitFailureFailsCell: a cell whose result the cache cannot commit
+// fails with the cache's error — retryable, never reported ok — instead of
+// passing once and silently recomputing on every later sweep.
+func TestCommitFailureFailsCell(t *testing.T) {
+	exp := simExperiment("uncommittable")
+	dir := t.TempDir()
+	spec := cacheSpec(dir)
+	spec.Retries = 1
+	key := cellKey(spec, exp)
+	if key == "" {
+		t.Fatal("no cache key")
+	}
+	// A non-empty directory squats on the cell's final address: the claim
+	// succeeds, but the commit's rename of the staged cell fails.
+	if err := os.MkdirAll(filepath.Join(dir, key[:2], key, "junk"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunExperiments(context.Background(), []experiments.Experiment{exp}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rep.Runs[0]
+	if r.Status != StatusError || !strings.Contains(r.Error, "cache: committing "+key) {
+		t.Fatalf("run = %+v, want a cache commit error", r)
+	}
+	if r.Cached || len(r.Tables) != 0 || r.CacheKey != key {
+		t.Fatalf("uncommitted cell reported a result: %+v", r)
+	}
+	if r.Attempts != 2 || rep.Retries != 1 {
+		t.Fatalf("attempts/retries = %d/%d, want 2/1 (commit errors are retryable)", r.Attempts, rep.Retries)
+	}
+}
+
 // TestConcurrentWorkersShareCache: two sweeps over the same cells and cache
 // directory compute each cell exactly once between them — the claim loser
 // waits for the winner's commit and replays it.

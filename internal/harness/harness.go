@@ -250,10 +250,11 @@ func replayCell(store *cache.Store, key string, exp experiments.Experiment,
 
 // computeAndCommit runs a claimed cell and publishes the result. Only
 // healthy runs commit: errors, timeouts, and stalls release the claim so
-// the cell recomputes on the next attempt. A StatusOK run commits even when
-// the sweep was cancelled right after it — the cell is complete and
-// deterministic, and keeping it is what makes a killed sweep resume from
-// the exact cell that was in flight instead of one earlier.
+// the cell recomputes on the next attempt, and a failed commit fails the
+// cell. A StatusOK run commits even when the sweep was cancelled right
+// after it — the cell is complete and deterministic, and keeping it is what
+// makes a killed sweep resume from the exact cell that was in flight
+// instead of one earlier.
 func computeAndCommit(ctx context.Context, exp experiments.Experiment, spec RunSpec,
 	key string, claim *cache.Claim, sink Sink, index, total int, doneWall time.Duration, attempt int) RunRecord {
 
@@ -281,10 +282,15 @@ func computeAndCommit(ctx context.Context, exp experiments.Experiment, spec RunS
 		_, err = claim.Commit(blob)
 	}
 	if err != nil {
-		// The result is still valid for this sweep; only the cache write
-		// failed. Release is idempotent if Commit already cleaned up.
+		// An uncommitted cell would pass here and recompute on every later
+		// sweep without saying why: fail it, retryably, with the cache's
+		// message. The simulation did run, so its cost stays on the record.
+		// Release is idempotent if Commit already cleaned up.
 		claim.Release()
-		rec.SeriesPaths = nil
+		failed := failedRecord(exp, spec, StatusError, err.Error(), attempt)
+		failed.CacheKey = key
+		failed.WallSeconds, failed.SimEvents, failed.SimSeconds = rec.WallSeconds, rec.SimEvents, rec.SimSeconds
+		return failed
 	}
 	return rec
 }

@@ -72,12 +72,6 @@ type Packet struct {
 	// ambiguous and excluded from RTT sampling (Karn's rule).
 	Retrans bool
 
-	// OWD, when set by an instrumented receiver, is the measured forward
-	// one-way delay of a data segment, echoed back on its ACK. It powers
-	// the Section 7 one-way-delay PERT variant, which excludes reverse-path
-	// queueing from the congestion signal.
-	OWD sim.Duration
-
 	// QueueSample is measurement instrumentation (not protocol state): a
 	// probe point (e.g. the bottleneck queue) can stamp the occupancy this
 	// packet observed, and receivers echo it on ACKs, giving per-sample

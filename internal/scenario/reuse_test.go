@@ -15,8 +15,8 @@ type windowTap struct {
 	log *[][2]float64
 }
 
-func (w windowTap) OnAck(c *tcp.Conn, newly int, rtt sim.Duration, ack *netem.Packet) {
-	w.CongestionControl.OnAck(c, newly, rtt, ack)
+func (w windowTap) OnAck(c *tcp.Conn, newly int, rtt sim.Duration) {
+	w.CongestionControl.OnAck(c, newly, rtt)
 	*w.log = append(*w.log, [2]float64{c.Cwnd(), c.Ssthresh()})
 }
 

@@ -3,7 +3,6 @@ package tcp
 import (
 	"math"
 
-	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -21,9 +20,8 @@ type CongestionControl interface {
 	Init(c *Conn)
 	// OnAck is called for every arriving ACK. newlyAcked is the number of
 	// segments the cumulative ACK point advanced (0 for duplicate ACKs);
-	// rtt is the RTT sample carried by this ACK, or 0 if none (Karn); ack
-	// is the ACK packet itself (echoed instrumentation, OWD), read-only.
-	OnAck(c *Conn, newlyAcked int, rtt sim.Duration, ack *netem.Packet)
+	// rtt is the RTT sample carried by this ACK, or 0 if none (Karn).
+	OnAck(c *Conn, newlyAcked int, rtt sim.Duration)
 	// OnDupAckLoss is called when loss is inferred from duplicate
 	// ACKs/SACK, just before fast retransmit. It must set ssthresh/cwnd.
 	OnDupAckLoss(c *Conn)
@@ -45,7 +43,7 @@ type Reno struct{}
 func (Reno) Init(*Conn) {}
 
 // OnAck implements CongestionControl: slow start below ssthresh, AIMD above.
-func (Reno) OnAck(c *Conn, newlyAcked int, _ sim.Duration, _ *netem.Packet) {
+func (Reno) OnAck(c *Conn, newlyAcked int, _ sim.Duration) {
 	if newlyAcked <= 0 || c.InRecovery() {
 		return
 	}

@@ -451,7 +451,7 @@ func (c *Conn) Receive(p *netem.Packet, now sim.Time) {
 		}
 	}
 
-	c.cc.OnAck(c, newly, sample, p)
+	c.cc.OnAck(c, newly, sample)
 
 	if c.cfg.TotalSegs > 0 && c.sndUna >= c.cfg.TotalSegs {
 		c.complete(now)

@@ -3,7 +3,6 @@ package tcp
 import (
 	"math"
 
-	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -35,7 +34,7 @@ func NewDUAL() *DUAL { return &DUAL{Beta: 7.0 / 8, Interval: 2} }
 func (d *DUAL) Init(*Conn) { *d = DUAL{Beta: d.Beta, Interval: d.Interval} }
 
 // OnAck implements CongestionControl.
-func (d *DUAL) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, _ *netem.Packet) {
+func (d *DUAL) OnAck(c *Conn, newlyAcked int, rtt sim.Duration) {
 	if rtt > 0 {
 		d.latest = rtt
 		if d.min == 0 || rtt < d.min {
@@ -105,7 +104,7 @@ func NewCARD() *CARD { return &CARD{} }
 func (cd *CARD) Init(*Conn) { *cd = CARD{} }
 
 // OnAck implements CongestionControl.
-func (cd *CARD) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, _ *netem.Packet) {
+func (cd *CARD) OnAck(c *Conn, newlyAcked int, rtt sim.Duration) {
 	if rtt > 0 {
 		cd.sumRTT += rtt
 		cd.nRTT++

@@ -3,7 +3,6 @@ package tcp
 import (
 	"math"
 
-	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -61,7 +60,7 @@ func (h *HSTCP) Init(*Conn) {}
 
 // OnAck implements CongestionControl: slow start below ssthresh, then a(w)
 // per RTT (a(w)/w per acked segment).
-func (h *HSTCP) OnAck(c *Conn, newlyAcked int, _ sim.Duration, _ *netem.Packet) {
+func (h *HSTCP) OnAck(c *Conn, newlyAcked int, _ sim.Duration) {
 	if newlyAcked <= 0 || c.InRecovery() {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"pert/internal/core"
-	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -18,9 +17,6 @@ type PERT struct {
 	// Responder is the connection's responder, built by Init: Build's, or
 	// else red, the paper's standard one.
 	Responder core.Responder
-	// UseOWD feeds the responder forward one-way delays (echoed on ACKs by
-	// an OWD-measuring sink, see NewOWDFlow) instead of round-trip times.
-	UseOWD bool
 	// Build, if set, constructs the responder at each Init with access to
 	// the live connection (and hence the engine's deterministic RNG). Used
 	// by ablation variants.
@@ -76,13 +72,8 @@ func (p *PERT) Probe() (qdelay, prob float64, ok bool) {
 }
 
 // OnAck implements CongestionControl: Reno-style growth plus the PERT early
-// response. With UseOWD set, the responder consumes the ACK's echoed forward
-// one-way delay instead of the RTT, excluding reverse-path queueing from the
-// congestion signal (Section 7).
-func (p *PERT) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, ack *netem.Packet) {
-	if p.UseOWD && ack != nil && ack.OWD > 0 && !ack.Retrans {
-		rtt = ack.OWD
-	}
+// response.
+func (p *PERT) OnAck(c *Conn, newlyAcked int, rtt sim.Duration) {
 	if rtt > 0 {
 		d := p.Responder.OnRTT(c.Now(), rtt)
 		if d.Respond && !c.InRecovery() {
@@ -93,7 +84,7 @@ func (p *PERT) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, ack *netem.Packe
 			return // no growth on the reducing ACK
 		}
 	}
-	p.Base.OnAck(c, newlyAcked, rtt, ack)
+	p.Base.OnAck(c, newlyAcked, rtt)
 }
 
 // OnDupAckLoss implements CongestionControl: losses get the base's standard

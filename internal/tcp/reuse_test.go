@@ -30,8 +30,8 @@ type ackTap struct {
 	log *[]ackRec
 }
 
-func (c ackTap) OnAck(conn *Conn, newly int, rtt sim.Duration, ack *netem.Packet) {
-	c.CongestionControl.OnAck(conn, newly, rtt, ack)
+func (c ackTap) OnAck(conn *Conn, newly int, rtt sim.Duration) {
+	c.CongestionControl.OnAck(conn, newly, rtt)
 	*c.log = append(*c.log, ackRec{conn.Cwnd(), conn.Ssthresh(), conn.RTT().RTO()})
 }
 
@@ -245,7 +245,7 @@ func TestControllerReuseMatchesFresh(t *testing.T) {
 // except Build, a func, which reflect.DeepEqual never finds equal.
 func resetState(cc CongestionControl) any {
 	if p, ok := cc.(*PERT); ok {
-		return []any{p.Responder, p.UseOWD, p.Base, p.red}
+		return []any{p.Responder, p.Base, p.red}
 	}
 	return cc
 }

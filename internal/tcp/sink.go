@@ -117,7 +117,6 @@ func (s *Sink) sendAck(p *netem.Packet) {
 	ack.ECE = s.ecnEcho
 	ack.Retrans = p.Retrans         // propagate so the sender can apply Karn's rule
 	ack.QueueSample = p.QueueSample // echo instrumentation back to the sender
-	ack.OWD = p.OWD                 // echo any measured forward one-way delay
 	// Advertise up to 3 SACK blocks; the block containing the segment that
 	// just arrived goes first, per RFC 2018.
 	blocks := s.ooo.Blocks()

@@ -3,7 +3,6 @@ package tcp
 import (
 	"math"
 
-	"pert/internal/netem"
 	"pert/internal/sim"
 )
 
@@ -38,7 +37,7 @@ func (v *Vegas) Init(*Conn) {
 }
 
 // OnAck implements CongestionControl.
-func (v *Vegas) OnAck(c *Conn, newlyAcked int, rtt sim.Duration, _ *netem.Packet) {
+func (v *Vegas) OnAck(c *Conn, newlyAcked int, rtt sim.Duration) {
 	if rtt > 0 {
 		v.rttSum += rtt
 		v.rttCount++
